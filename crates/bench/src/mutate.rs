@@ -35,6 +35,7 @@ use om_core::{
     Profile,
 };
 use om_objfile::{Archive, Module, RelocKind, SecId};
+use om_obs::JsonValue;
 use om_sim::{run_covered_fast, run_fast, run_profiled_fast, Divergence, RunResult};
 use std::collections::HashSet;
 use om_workloads::stdlib::STDLIB_SOURCES;
@@ -721,46 +722,33 @@ pub struct Baseline {
     pub classes: Vec<(String, usize, usize)>,
 }
 
-fn field_usize(line: &str, key: &str) -> Option<usize> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = line[at..].trim_start();
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let end = line[at..].find('"')?;
-    Some(&line[at..at + end])
-}
-
-/// Parses a baseline produced by [`render_json`] (line-oriented; tolerant of
-/// the surrounding skeleton).
+/// Parses a baseline produced by [`render_json`]: the summary counters and
+/// the per-class entries (the per-mutant rows are not needed).
 ///
 /// # Errors
 ///
-/// Returns a message when the summary counters or class lines are missing.
+/// Returns a message for malformed JSON, or when the summary counters or
+/// class entries are missing.
 pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let mut base = Baseline::default();
-    let mut have_mutants = false;
-    for line in text.lines() {
-        let t = line.trim();
-        if t.starts_with("\"mutants\":") {
-            base.mutants = field_usize(t, "mutants").ok_or("bad \"mutants\" line")?;
-            have_mutants = true;
-        } else if t.starts_with("\"killed\":") {
-            base.killed = field_usize(t, "killed").ok_or("bad \"killed\" line")?;
-        } else if t.contains("\"kind\":\"class\"") {
-            let class = field_str(t, "class").ok_or("class line without a name")?.to_string();
-            let total = field_usize(t, "total").ok_or("class line without a total")?;
-            let escaped = field_usize(t, "escaped").ok_or("class line without escapes")?;
-            base.classes.push((class, total, escaped));
-        }
+    let doc = om_obs::parse_json(text)?;
+    let count = |v: &JsonValue, key: &str| {
+        v.get(key)
+            .and_then(JsonValue::as_u64)
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or(format!("missing or non-integer \"{key}\""))
+    };
+    let mut base = Baseline {
+        mutants: count(&doc, "mutants")?,
+        killed: count(&doc, "killed")?,
+        classes: Vec::new(),
+    };
+    for c in doc.get("classes").and_then(JsonValue::as_arr).unwrap_or_default() {
+        let class =
+            c.get("class").and_then(JsonValue::as_str).ok_or("class entry without a name")?;
+        base.classes.push((class.to_string(), count(c, "total")?, count(c, "escaped")?));
     }
-    if !have_mutants || base.classes.is_empty() {
-        return Err("not an omkill scorecard (no mutant count or class lines)".into());
+    if base.classes.is_empty() {
+        return Err("not an omkill scorecard (no class entries)".into());
     }
     Ok(base)
 }

@@ -8,7 +8,7 @@
 use crate::sym::{GlobalRef, InstId, OmError, SAnchor, SInst, SMark, SymProc, SymProgram};
 use om_alpha::{Effects, Inst, JmpOp, Reg};
 use om_linker::{layout, sym_addr, LayoutOpts, ProgramLayout, SymbolTable};
-use om_objfile::{Module, RelocKind, SymbolDef};
+use om_objfile::{Module, RelocKind, SymId, SymbolDef};
 use std::collections::{HashMap, HashSet};
 
 /// A provisional whole-program layout used for reachability decisions.
@@ -24,17 +24,8 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Emits the current symbolic program and lays it out with OM's layout
-    /// policy (commons sorted by size near the GAT, unless ablated).
-    ///
-    /// # Errors
-    ///
-    /// Propagates symbol-table or layout failures.
-    pub fn capture(program: &SymProgram) -> Result<Snapshot, OmError> {
-        Snapshot::capture_with(program, true)
-    }
-
-    /// [`Snapshot::capture`] with an explicit common-sorting policy (used by
-    /// the ablation harness).
+    /// policy: commons sorted by size near the GAT when `sort_commons` is set
+    /// (the ablation harness clears it).
     ///
     /// # Errors
     ///
@@ -50,7 +41,7 @@ impl Snapshot {
     ///
     /// # Panics
     ///
-    /// Panics on dangling references (cannot happen after `capture`).
+    /// Panics on dangling references (cannot happen after `capture_with`).
     pub fn addr(&self, r: &GlobalRef) -> u64 {
         match r {
             GlobalRef::Def { module, sym } => {
@@ -78,18 +69,42 @@ impl Snapshot {
         self.layout.gp_values.len() == 1
     }
 
-    /// Text address of instruction `idx` of procedure `pi` in module `mi`.
-    pub fn inst_addr(&self, program: &SymProgram, mi: usize, pi: usize, idx: usize) -> u64 {
-        let mut off = 0u64;
-        for p in &program.modules[mi].procs[..pi] {
-            off += 4 * p.insts.len() as u64;
-        }
-        self.layout.bases[mi].text + off + 4 * idx as u64
+    /// Text address of instruction `idx` of the procedure whose symbol is
+    /// `proc` in module `mi`. The procedure's start is the offset its emitted
+    /// symbol carries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `proc` is not a procedure symbol (emit guarantees it is).
+    pub fn inst_addr(&self, mi: usize, proc: SymId, idx: usize) -> u64 {
+        let SymbolDef::Proc { offset, .. } = self.modules[mi].symbol(proc).def else {
+            panic!("inst_addr: symbol {} is not a procedure", proc.0)
+        };
+        self.layout.bases[mi].text + offset + 4 * idx as u64
     }
+}
 
-    /// Number of merged GAT slots in this snapshot.
-    pub fn gat_slots(&self) -> usize {
-        self.layout.gat_slots
+/// True when a call from module `mi` provably returns with the caller's GP
+/// intact, so its after-call GP reset can go: the callee shares the caller's
+/// GAT group, or the whole program has one group. A preemptible callee might
+/// be replaced at dynamic-link time by code in another group, so nothing
+/// about it can be assumed.
+pub fn same_gp_target(
+    program: &SymProgram,
+    snap: &Snapshot,
+    mi: usize,
+    kind: &CallKind,
+    preempt: &HashSet<&str>,
+) -> bool {
+    match kind {
+        CallKind::DirectJsr { target, .. } | CallKind::Bsr { target, .. } => {
+            !preempt.contains(ref_name(program, target))
+                && match target {
+                    GlobalRef::Def { module, .. } => snap.group(mi) == snap.group(*module),
+                    GlobalRef::Common { .. } => snap.single_group(),
+                }
+        }
+        CallKind::Indirect => snap.single_group(),
     }
 }
 

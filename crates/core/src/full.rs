@@ -15,7 +15,7 @@
 
 use crate::analysis::{
     address_taken, call_sites, find_entry_pair, prologue_pair_at_entry, reads_pv_outside,
-    use_index, CallKind, Snapshot, UseKind,
+    same_gp_target, use_index, CallKind, Snapshot, UseKind,
 };
 use crate::fault::{armed, FaultKind, FaultPlan};
 use crate::pipeline::CallBook;
@@ -142,7 +142,6 @@ fn remove_prologues_and_convert_calls(
     preempt: &HashSet<&str>,
     fault: Option<&FaultPlan>,
 ) -> bool {
-    let single_group = snap.single_group();
     let taken = address_taken(program);
 
     // Collect every call site with its caller coordinates and its address
@@ -163,7 +162,7 @@ fn remove_prologues_and_convert_calls(
                 sites.push(Site {
                     mi,
                     pi,
-                    addr: snap.inst_addr(program, mi, pi, s.at),
+                    addr: snap.inst_addr(mi, p.sym, s.at),
                     jsr_id: p.insts[s.at].id,
                     kind: s.kind,
                     gp_reset: s.gp_reset,
@@ -232,21 +231,9 @@ fn remove_prologues_and_convert_calls(
         let key = (s.mi, s.pi, s.jsr_id);
 
         // GP-reset deletion.
-        let same_gp_target = match &s.kind {
-            CallKind::DirectJsr { target, .. } | CallKind::Bsr { target, .. } => {
-                if preempt.contains(crate::analysis::ref_name(program, target)) {
-                    false
-                } else {
-                    match target {
-                        GlobalRef::Def { module, .. } => snap.group(s.mi) == snap.group(*module),
-                        GlobalRef::Common { .. } => single_group,
-                    }
-                }
-            }
-            CallKind::Indirect => single_group,
-        };
+        let same_gp = same_gp_target(program, snap, s.mi, &s.kind, preempt);
         if let Some((hi, lo)) = s.gp_reset {
-            if same_gp_target {
+            if same_gp {
                 let p = &mut program.modules[s.mi].procs[s.pi];
                 let doomed: HashSet<InstId> = [hi, lo].into_iter().collect();
                 p.delete(&doomed);
@@ -267,8 +254,6 @@ fn remove_prologues_and_convert_calls(
         if !bsr_reachable(s.addr, target_addr) {
             continue;
         }
-        let same_gp = same_gp_target;
-
         let uses = use_index(&program.modules[s.mi].procs[s.pi]);
         let sole_use = uses
             .get(load)

@@ -2,12 +2,12 @@
 //! link. This is the "optimizing linker" of §4 — it replaces the standard
 //! link step entirely.
 
-use crate::analysis::{call_sites, CallKind, Snapshot};
+use crate::analysis::{call_sites, CallKind};
 use crate::cache::OmCaches;
 use crate::hash::{archive_hash, link_key, module_hash, ContentHash};
 use crate::stats::OmStats;
 use crate::sym::{resolve_symbolic, translate_module, InstId, LocalSymModule, OmError, SymProgram};
-use om_linker::{build_symbol_table, link_modules, select_modules, Image, LayoutOpts, LinkStats};
+use om_linker::{build_symbol_table, link_selected, select_modules, Image, LayoutOpts, LinkStats};
 use om_objfile::{Archive, Module};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,15 +151,16 @@ pub struct Emitted {
     pub layout: om_linker::ProgramLayout,
 }
 
-/// Counts the pre-transformation statistics.
+/// Counts the pre-transformation statistics; `gat_slots` is the merged GAT
+/// size of the untransformed program.
 fn collect_before(
     program: &SymProgram,
-    snap: &Snapshot,
+    gat_slots: usize,
     stats: &mut OmStats,
     book: &mut CallBook,
 ) {
     stats.insts_before = program.inst_count();
-    stats.gat_slots_before = snap.gat_slots();
+    stats.gat_slots_before = gat_slots;
     for (mi, m) in program.modules.iter().enumerate() {
         for (pi, p) in m.procs.iter().enumerate() {
             stats.addr_loads_total += crate::analysis::literal_loads(p).len();
@@ -330,9 +331,9 @@ fn run_pipeline(
 
     let mut stats = OmStats::default();
     let mut book: CallBook = HashMap::new();
-    let snap0 = Snapshot::capture(&program)?;
-    collect_before(&program, &snap0, &mut stats, &mut book);
-    drop(snap0);
+    let gat_slots_before =
+        om_linker::layout(&modules, &symtab, &LayoutOpts { sort_commons: true })?.gat_slots;
+    collect_before(&program, gat_slots_before, &mut stats, &mut book);
 
     match level {
         OmLevel::None => {}
@@ -373,24 +374,22 @@ fn run_pipeline(
         stats.insts_deleted += 1;
     }
 
-    // Final link with OM's layout policy.
+    // Final link with OM's layout policy: one layout of the emitted program
+    // serves the image, the GAT count and the verifier (commons order never
+    // changes the GAT, so `sort_commons` does not matter to the count).
     let final_modules = {
         let _s = om_obs::span("emit");
         crate::sym::emit_all(&program)?
     };
-    stats.gat_slots_after = {
-        let st = build_symbol_table(&final_modules)?;
-        om_linker::layout(&final_modules, &st, &LayoutOpts { sort_commons: options.sort_commons })?
-            .gat_slots
-    };
     let link_opts = LayoutOpts { sort_commons: level != OmLevel::None && options.sort_commons };
-    let link_span = om_obs::span("link");
-    let (image, link) = link_modules(&final_modules, &[], &link_opts).map_err(OmError::Link)?;
-
-    // The layout the final link saw, recomputed for post-hoc verification.
-    let symtab = build_symbol_table(&final_modules)?;
-    let layout = om_linker::layout(&final_modules, &symtab, &link_opts)?;
-    drop(link_span);
+    let om_linker::Linked { image, stats: link, symtab, layout } = {
+        let _s = om_obs::span("link");
+        for m in &final_modules {
+            m.validate().map_err(|e| OmError::Link(e.into()))?;
+        }
+        link_selected(&final_modules, &link_opts)?
+    };
+    stats.gat_slots_after = link.gat_slots;
     if om_obs::enabled() {
         om_obs::count("pipeline.image_bytes", image.to_bytes().len() as u64);
     }

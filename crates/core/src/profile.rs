@@ -17,10 +17,12 @@
 //!   rank `k` in the profiled image is rank `k` in the rebuild.
 //! * call edges (caller → callee counts), for diagnostics and tooling.
 //!
-//! The on-disk format is line-oriented JSON, hand-rolled like the rest of
-//! the workspace (the build is offline; no serde). Serialization is
-//! deterministic: procedures sort by name, edges by (caller, callee).
+//! The on-disk format is line-oriented JSON, written by hand and read with
+//! the workspace's one JSON reader, [`om_obs::json`] (the build is offline;
+//! no serde). Serialization is deterministic: procedures sort by name, edges
+//! by (caller, callee).
 
+use om_obs::JsonValue;
 use std::fmt;
 
 /// Per-procedure execution counts. The `name` is the procedure's linked-image
@@ -131,43 +133,65 @@ impl Profile {
     /// Returns [`ProfileError`] on malformed JSON, a wrong schema tag, or
     /// missing required keys.
     pub fn from_json(s: &str) -> Result<Profile, ProfileError> {
-        let top = parse_value(&mut Cursor::new(s))?.into_obj("top level")?;
-        match top.get("schema") {
-            Some(Val::Str(tag)) if tag == "om-profile/v1" => {}
-            Some(Val::Str(tag)) => {
-                return Err(ProfileError(format!("unsupported schema {tag:?}")))
-            }
-            _ => return Err(ProfileError("missing schema tag".into())),
+        let top = om_obs::parse_json(s).map_err(ProfileError)?;
+        match top.get("schema").and_then(JsonValue::as_str) {
+            Some("om-profile/v1") => {}
+            Some(tag) => return Err(ProfileError(format!("unsupported schema {tag:?}"))),
+            None => return Err(ProfileError("missing schema tag".into())),
         }
         let mut profile = Profile {
-            total_insts: top.req_num("total_insts")?,
+            total_insts: req_num(&top, "total_insts")?,
             procs: Vec::new(),
             edges: Vec::new(),
         };
-        for v in top.req_arr("procs")? {
-            let o = v.into_obj("proc entry")?;
-            let mut back_targets = Vec::new();
-            for c in o.req_arr("back_targets")? {
-                back_targets.push(c.into_num("back_targets element")?);
-            }
+        for o in req_arr(&top, "procs")? {
             profile.procs.push(ProcProfile {
-                name: o.req_str("name")?,
-                calls: o.req_num("calls")?,
-                insts: o.req_num("insts")?,
-                back_targets,
+                name: req_str(o, "name")?,
+                calls: req_num(o, "calls")?,
+                insts: req_num(o, "insts")?,
+                back_targets: req_arr(o, "back_targets")?
+                    .iter()
+                    .map(|c| num(c, "back_targets element"))
+                    .collect::<Result<_, _>>()?,
             });
         }
-        for v in top.req_arr("edges")? {
-            let o = v.into_obj("edge entry")?;
+        for o in req_arr(&top, "edges")? {
             profile.edges.push(CallEdge {
-                caller: o.req_str("caller")?,
-                callee: o.req_str("callee")?,
-                count: o.req_num("count")?,
+                caller: req_str(o, "caller")?,
+                callee: req_str(o, "callee")?,
+                count: req_num(o, "count")?,
             });
         }
         profile.normalize();
         Ok(profile)
     }
+}
+
+fn req<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a JsonValue, ProfileError> {
+    obj.get(key).ok_or_else(|| ProfileError(format!("missing key {key:?}")))
+}
+
+/// A count: an exact non-negative integer up to `u64::MAX`.
+fn num(v: &JsonValue, what: &str) -> Result<u64, ProfileError> {
+    v.as_u64()
+        .ok_or_else(|| ProfileError(format!("{what}: expected a count in 0..=u64::MAX")))
+}
+
+fn req_num(obj: &JsonValue, key: &str) -> Result<u64, ProfileError> {
+    num(req(obj, key)?, key)
+}
+
+fn req_str(obj: &JsonValue, key: &str) -> Result<String, ProfileError> {
+    req(obj, key)?
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| ProfileError(format!("{key}: expected a string")))
+}
+
+fn req_arr<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], ProfileError> {
+    req(obj, key)?
+        .as_arr()
+        .ok_or_else(|| ProfileError(format!("{key}: expected an array")))
 }
 
 /// JSON string escaping for names (control characters, quote, backslash).
@@ -187,233 +211,6 @@ fn escape(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Minimal JSON value model: only what the profile format uses.
-#[derive(Debug, Clone)]
-enum Val {
-    Str(String),
-    Num(u64),
-    Arr(Vec<Val>),
-    Obj(Vec<(String, Val)>),
-}
-
-impl Val {
-    fn into_obj(self, what: &str) -> Result<Obj, ProfileError> {
-        match self {
-            Val::Obj(pairs) => Ok(Obj(pairs)),
-            _ => Err(ProfileError(format!("{what}: expected an object"))),
-        }
-    }
-
-    fn into_num(self, what: &str) -> Result<u64, ProfileError> {
-        match self {
-            Val::Num(n) => Ok(n),
-            _ => Err(ProfileError(format!("{what}: expected a number"))),
-        }
-    }
-}
-
-/// An object with by-key access (linear scan; objects here are tiny).
-struct Obj(Vec<(String, Val)>);
-
-impl Obj {
-    fn get(&self, key: &str) -> Option<&Val> {
-        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    fn take(&self, key: &str) -> Result<Val, ProfileError> {
-        self.get(key)
-            .cloned()
-            .ok_or_else(|| ProfileError(format!("missing key {key:?}")))
-    }
-
-    fn req_num(&self, key: &str) -> Result<u64, ProfileError> {
-        self.take(key)?.into_num(key)
-    }
-
-    fn req_str(&self, key: &str) -> Result<String, ProfileError> {
-        match self.take(key)? {
-            Val::Str(s) => Ok(s),
-            _ => Err(ProfileError(format!("{key}: expected a string"))),
-        }
-    }
-
-    fn req_arr(&self, key: &str) -> Result<Vec<Val>, ProfileError> {
-        match self.take(key)? {
-            Val::Arr(v) => Ok(v),
-            _ => Err(ProfileError(format!("{key}: expected an array"))),
-        }
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Cursor<'a> {
-        Cursor { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, ProfileError> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| ProfileError("unexpected end of input".into()))
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), ProfileError> {
-        if self.peek()? == c {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(ProfileError(format!(
-                "expected {:?} at byte {}",
-                c as char, self.pos
-            )))
-        }
-    }
-}
-
-fn parse_value(c: &mut Cursor) -> Result<Val, ProfileError> {
-    match c.peek()? {
-        b'"' => parse_string(c).map(Val::Str),
-        b'{' => {
-            c.pos += 1;
-            let mut pairs = Vec::new();
-            if c.peek()? == b'}' {
-                c.pos += 1;
-                return Ok(Val::Obj(pairs));
-            }
-            loop {
-                let key = parse_string(c)?;
-                c.expect(b':')?;
-                pairs.push((key, parse_value(c)?));
-                match c.peek()? {
-                    b',' => c.pos += 1,
-                    b'}' => {
-                        c.pos += 1;
-                        return Ok(Val::Obj(pairs));
-                    }
-                    other => {
-                        return Err(ProfileError(format!(
-                            "expected ',' or '}}', found {:?}",
-                            other as char
-                        )))
-                    }
-                }
-            }
-        }
-        b'[' => {
-            c.pos += 1;
-            let mut items = Vec::new();
-            if c.peek()? == b']' {
-                c.pos += 1;
-                return Ok(Val::Arr(items));
-            }
-            loop {
-                items.push(parse_value(c)?);
-                match c.peek()? {
-                    b',' => c.pos += 1,
-                    b']' => {
-                        c.pos += 1;
-                        return Ok(Val::Arr(items));
-                    }
-                    other => {
-                        return Err(ProfileError(format!(
-                            "expected ',' or ']', found {:?}",
-                            other as char
-                        )))
-                    }
-                }
-            }
-        }
-        b'0'..=b'9' => parse_number(c).map(Val::Num),
-        other => Err(ProfileError(format!(
-            "unexpected {:?} at byte {}",
-            other as char, c.pos
-        ))),
-    }
-}
-
-fn parse_number(c: &mut Cursor) -> Result<u64, ProfileError> {
-    let start = c.pos;
-    while c.pos < c.bytes.len() && c.bytes[c.pos].is_ascii_digit() {
-        c.pos += 1;
-    }
-    let digits = std::str::from_utf8(&c.bytes[start..c.pos]).expect("ascii digits");
-    digits
-        .parse::<u64>()
-        .map_err(|_| ProfileError(format!("number out of range: {digits}")))
-}
-
-fn parse_string(c: &mut Cursor) -> Result<String, ProfileError> {
-    c.expect(b'"')?;
-    let mut out = String::new();
-    loop {
-        let Some(&b) = c.bytes.get(c.pos) else {
-            return Err(ProfileError("unterminated string".into()));
-        };
-        c.pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => {
-                let Some(&e) = c.bytes.get(c.pos) else {
-                    return Err(ProfileError("unterminated escape".into()));
-                };
-                c.pos += 1;
-                match e {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'b' => out.push('\u{8}'),
-                    b'f' => out.push('\u{c}'),
-                    b'u' => {
-                        let hex = c
-                            .bytes
-                            .get(c.pos..c.pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| ProfileError("truncated \\u escape".into()))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| ProfileError(format!("bad \\u escape {hex:?}")))?;
-                        c.pos += 4;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| ProfileError(format!("bad code point {code:#x}")))?,
-                        );
-                    }
-                    other => {
-                        return Err(ProfileError(format!("bad escape \\{}", other as char)))
-                    }
-                }
-            }
-            _ => {
-                // Re-decode the UTF-8 sequence starting at the byte we took
-                // (shortest valid prefix = exactly one character).
-                let s = &c.bytes[c.pos - 1..];
-                let ch = (1..=4.min(s.len()))
-                    .find_map(|n| std::str::from_utf8(&s[..n]).ok())
-                    .and_then(|t| t.chars().next())
-                    .ok_or_else(|| ProfileError("invalid UTF-8 in string".into()))?;
-                c.pos += ch.len_utf8() - 1;
-                out.push(ch);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -15,13 +15,13 @@
 //!   the optimized program is linked).
 
 use crate::analysis::{
-    call_sites, load_dest, prologue_pair_at_entry, reads_pv_outside, use_index, CallKind,
-    Snapshot, UseKind,
+    call_sites, load_dest, prologue_pair_at_entry, reads_pv_outside, same_gp_target, use_index,
+    CallKind, Snapshot, UseKind,
 };
 use crate::fault::{armed, FaultKind, FaultPlan};
 use crate::pipeline::CallBook;
 use crate::stats::OmStats;
-use crate::sym::{GlobalRef, OmError, SMark, SymProgram};
+use crate::sym::{OmError, SMark, SymProgram};
 use om_alpha::{BrOp, Inst, MemOp, Reg};
 use std::collections::HashSet;
 
@@ -79,7 +79,6 @@ pub fn transform_calls(
     book: &mut CallBook,
     preempt: &HashSet<&str>,
 ) {
-    let single_group = snap.single_group();
     let nmods = program.modules.len();
     for mi in 0..nmods {
         let nprocs = program.modules[mi].procs.len();
@@ -90,26 +89,8 @@ pub fn transform_calls(
                 let jsr_id = program.modules[mi].procs[pi].insts[site.at].id;
                 let key = (mi, pi, jsr_id);
 
-                // GP reset removal condition. A preemptible callee might be
-                // replaced at dynamic-link time by code in another GAT group,
-                // so nothing about it can be assumed.
-                let same_gp_target = match &site.kind {
-                    CallKind::DirectJsr { target, .. } | CallKind::Bsr { target, .. } => {
-                        if preempt.contains(crate::analysis::ref_name(program, target)) {
-                            false
-                        } else {
-                            match target {
-                                GlobalRef::Def { module, .. } => {
-                                    snap.group(mi) == snap.group(*module)
-                                }
-                                GlobalRef::Common { .. } => single_group,
-                            }
-                        }
-                    }
-                    CallKind::Indirect => single_group,
-                };
                 if let Some((hi, lo)) = site.gp_reset {
-                    if same_gp_target {
+                    if same_gp_target(program, snap, mi, &site.kind, preempt) {
                         let proc = &mut program.modules[mi].procs[pi];
                         for id in [hi, lo] {
                             let idx = proc.index_of(id);
@@ -128,7 +109,7 @@ pub fn transform_calls(
                     continue;
                 }
                 let Some((tm, tp)) = program.proc_of(&target) else { continue };
-                let jsr_addr = snap.inst_addr(program, mi, pi, site.at);
+                let jsr_addr = snap.inst_addr(mi, program.modules[mi].procs[pi].sym, site.at);
                 let target_addr = snap.addr(&target);
                 if !bsr_reachable(jsr_addr, target_addr) {
                     continue;

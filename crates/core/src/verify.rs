@@ -594,15 +594,8 @@ mod tests {
         let symtab = om_linker::build_symbol_table(&modules).unwrap();
         let program = crate::sym::translate(&modules, &symtab).unwrap();
         let final_modules = crate::sym::emit_all(&program).unwrap();
-        let symtab = om_linker::build_symbol_table(&final_modules).unwrap();
-        let layout = om_linker::layout(
-            &final_modules,
-            &symtab,
-            &om_linker::LayoutOpts::default(),
-        )
-        .unwrap();
-        let mut image =
-            om_linker::build_image(&final_modules, &symtab, &layout).unwrap();
+        let om_linker::Linked { mut image, symtab, layout, .. } =
+            om_linker::link_selected(&final_modules, &om_linker::LayoutOpts::default()).unwrap();
         assert!(verify_linked(&final_modules, &symtab, &layout, &image).is_ok());
 
         // Point some branch 4MB backwards, far outside .text.

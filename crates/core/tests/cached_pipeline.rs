@@ -1,13 +1,12 @@
 //! Counter tests of the cached pipeline entry points, mirroring the
-//! `pipeline_runs()` memoization tests in `om-bench`: cache hits must skip
+//! memoization tests in `om-bench`: cache hits must skip
 //! the pipeline entirely, and a single-module edit must invalidate exactly
 //! that module's translation entry.
 
 use om_codegen::{compile_source, crt0, CompileOpts};
-use om_core::{
-    optimize_and_link, optimize_and_link_cached, pipeline_runs, OmCaches, OmLevel, OmOptions,
-};
+use om_core::{optimize_and_link, optimize_and_link_cached, OmCaches, OmLevel, OmOptions};
 use om_objfile::Module;
+use om_obs::Trace;
 use om_workloads::build::CompileMode;
 use om_workloads::scale::{build_scale, ScaleSpec};
 
@@ -51,23 +50,28 @@ fn link_cache_hits_skip_the_pipeline() {
     let caches = OmCaches::default();
     let options = OmOptions::default();
 
-    let runs0 = pipeline_runs();
+    // Count runs on a trace installed on this thread: the process-global
+    // `pipeline_runs()` also counts the pipelines that sibling tests run
+    // concurrently.
+    let trace = Trace::new();
+    let _g = trace.install();
+    let runs = || trace.counters().get("pipeline.runs").copied().unwrap_or(0);
     let (first, hit1) =
         optimize_and_link_cached(&objects, &[], OmLevel::Full, &options, &caches).unwrap();
     assert!(!hit1);
-    assert_eq!(pipeline_runs() - runs0, 1, "a cold link runs the pipeline once");
+    assert_eq!(runs(), 1, "a cold link runs the pipeline once");
 
     let (second, hit2) =
         optimize_and_link_cached(&objects, &[], OmLevel::Full, &options, &caches).unwrap();
     assert!(hit2);
-    assert_eq!(pipeline_runs() - runs0, 1, "a link-cache hit must not re-run the pipeline");
+    assert_eq!(runs(), 1, "a link-cache hit must not re-run the pipeline");
     assert_eq!(first.image.to_bytes(), second.image.to_bytes());
 
     // A different level is a different key: the pipeline runs again.
     let (_, hit3) =
         optimize_and_link_cached(&objects, &[], OmLevel::Simple, &options, &caches).unwrap();
     assert!(!hit3);
-    assert_eq!(pipeline_runs() - runs0, 2);
+    assert_eq!(runs(), 2);
 }
 
 #[test]

@@ -177,3 +177,16 @@ fn cache_counters_report_hits_and_misses() {
     assert_eq!(counters.get("cache.links.miss"), Some(&caches.links.stats().misses));
     assert_eq!(counters.get("cache.links.hit"), Some(&caches.links.stats().hits));
 }
+
+#[test]
+fn full_sched_link_lays_out_each_program_state_once() {
+    let objs = objects("layouts");
+    let (out, trace) = traced_link(&objs, OmLevel::FullSched, &OmOptions::default());
+    let counters = trace.counters();
+    let rounds = counters["pipeline.full_rounds"];
+    assert!(rounds > 0, "{counters:?}");
+    // One layout of the input program, one per fixpoint round, and one of
+    // the emitted program shared by the image, the GAT count and verify.
+    assert_eq!(counters.get("layout.calls"), Some(&(rounds + 2)), "{counters:?}");
+    assert_eq!(out.stats.gat_slots_after, out.link.gat_slots);
+}

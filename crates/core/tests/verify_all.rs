@@ -1,5 +1,6 @@
 //! Tier-1 verifier sweep: every workload, both compile modes, all four OM
-//! levels must link with `OmOptions::verify` and report zero violations.
+//! levels must link with `OmOptions::verify` and report zero violations, and
+//! each must count the same pre-OM GAT as the standard link.
 //! This is the whole-program analogue of the per-invariant unit tests in
 //! `om_core::verify` — it proves the invariants hold on real compiler
 //! output, not just hand-built modules.
@@ -10,6 +11,7 @@
 //! change program meaning.
 
 use om_core::{optimize_and_link_with, OmLevel, OmOptions};
+use om_linker::{link_modules, LayoutOpts};
 use om_sim::{run_image, run_profiled};
 use om_workloads::{build::build, spec, CompileMode};
 
@@ -23,11 +25,21 @@ fn verifier_passes_on_every_workload_mode_and_level() {
         let quick = spec::quick(&s);
         for mode in CompileMode::ALL {
             let b = build(&quick, mode).expect("build");
+            let (_, std_link) = link_modules(&b.objects, &b.libs, &LayoutOpts::default())
+                .unwrap_or_else(|e| panic!("{} [{}] standard link: {e}", s.name, mode.name()));
             for level in OmLevel::ALL {
                 let out = optimize_and_link_with(&b.objects, &b.libs, level, &options)
                     .unwrap_or_else(|e| {
                         panic!("{} [{}] {}: {e}", s.name, mode.name(), level.name())
                     });
+                assert_eq!(
+                    out.stats.gat_slots_before,
+                    std_link.gat_slots,
+                    "{} [{}] {}: GAT before OM differs from the standard link's",
+                    s.name,
+                    mode.name(),
+                    level.name()
+                );
                 let report = out.verify.expect("verify requested");
                 assert!(
                     report.checks > 0,

@@ -97,7 +97,8 @@ fn data_bump(addr: &mut u64, size: u64, what: impl FnOnce() -> String) -> Result
     }
 }
 
-/// Computes the layout of `modules`.
+/// Computes the layout of `modules`. Each call adds one to the
+/// `layout.calls` trace counter, which pins how often a link lays out.
 ///
 /// # Errors
 ///
@@ -109,6 +110,7 @@ pub fn layout(
     symtab: &SymbolTable,
     opts: &LayoutOpts,
 ) -> Result<ProgramLayout, LinkError> {
+    om_obs::count("layout.calls", 1);
     let mut out = ProgramLayout {
         bases: vec![ModuleBases::default(); modules.len()],
         group_of_module: vec![0; modules.len()],

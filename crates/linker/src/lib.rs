@@ -98,7 +98,8 @@ impl Linker {
     }
 }
 
-/// Links `objects` (+ library members) with the given layout policy.
+/// Links `objects` (+ library members) with the given layout policy:
+/// [`select_modules`], then [`link_selected`].
 ///
 /// Borrows its inputs — callers that link the same build repeatedly (the
 /// evaluation harness, OM at several levels) pay no per-link clone of their
@@ -112,18 +113,39 @@ pub fn link_modules(
     libs: &[Archive],
     opts: &LayoutOpts,
 ) -> Result<(Image, LinkStats), LinkError> {
-    let modules = select_modules(objects, libs)?;
-    let symtab = build_symbol_table(&modules)?;
+    let linked = link_selected(&select_modules(objects, libs)?, opts)?;
+    Ok((linked.image, linked.stats))
+}
+
+/// The products of one link: the image and its statistics, plus the symbol
+/// table and layout they were built from (for consumers that inspect the
+/// link after the fact, such as OM's image verifier).
+#[derive(Debug, Clone)]
+pub struct Linked {
+    pub image: Image,
+    pub stats: LinkStats,
+    pub symtab: SymbolTable,
+    pub layout: ProgramLayout,
+}
+
+/// Links already-selected `modules` (see [`select_modules`]): builds the
+/// symbol table, lays the program out once, and builds the image.
+///
+/// # Errors
+///
+/// See [`Linker::link`].
+pub fn link_selected(modules: &[Module], opts: &LayoutOpts) -> Result<Linked, LinkError> {
+    let symtab = build_symbol_table(modules)?;
     let lay = {
         let mut s = om_obs::span("link.layout");
-        let lay = layout(&modules, &symtab, opts)?;
+        let lay = layout(modules, &symtab, opts)?;
         s.arg("gat_slots", lay.gat_slots as u64);
         s.arg("gp_groups", lay.gp_values.len() as u64);
         lay
     };
     let image = {
         let _s = om_obs::span("link.image");
-        build_image(&modules, &symtab, &lay)?
+        build_image(modules, &symtab, &lay)?
     };
     if om_obs::enabled() {
         om_obs::count("link.gat_slots", lay.gat_slots as u64);
@@ -141,7 +163,7 @@ pub fn link_modules(
         text_bytes: lay.info.text.size,
         data_bytes: image.segments[1].bytes.len() as u64,
     };
-    Ok((image, stats))
+    Ok(Linked { image, stats, symtab, layout: lay })
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! A minimal JSON reader and the chrome-trace structural validator.
 //!
-//! The workspace is fully offline (no serde); this is the small, strict
-//! parser the `omtrace check` CI step and the trace tests use to prove an
-//! emitted `--trace-json` file is well-formed and that its spans nest
-//! properly. It parses the full JSON grammar except `\uXXXX` surrogate
+//! The workspace is fully offline (no serde); this is its one small, strict
+//! JSON parser. The `omtrace check` CI step and the trace tests use it to
+//! prove an emitted `--trace-json` file is well-formed and that its spans
+//! nest properly; execution profiles and the `omkill` baseline are read
+//! with it too. It parses the full JSON grammar except `\uXXXX` surrogate
 //! pairs (accepted, decoded as the raw code unit when lone).
 
 use std::collections::BTreeMap;
@@ -13,7 +14,9 @@ use std::collections::BTreeMap;
 pub enum JsonValue {
     Null,
     Bool(bool),
-    Num(f64),
+    /// A number, kept as its source literal so that integers above 2^53
+    /// stay exact for [`JsonValue::as_u64`].
+    Num(String),
     Str(String),
     Arr(Vec<JsonValue>),
     Obj(BTreeMap<String, JsonValue>),
@@ -31,7 +34,16 @@ impl JsonValue {
     /// The numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonValue::Num(n) => Some(*n),
+            JsonValue::Num(n) => n.parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// The exact value of a non-negative integer literal. Negative numbers,
+    /// fractions, exponents and values above `u64::MAX` give `None`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonValue::Num(n) if n.bytes().all(|b| b.is_ascii_digit()) => n.parse().ok(),
             _ => None,
         }
     }
@@ -161,9 +173,10 @@ fn number(b: &[u8], at: &mut usize) -> Result<JsonValue, String> {
         *at += 1;
     }
     let s = std::str::from_utf8(&b[start..*at]).map_err(|_| "non-utf8 number")?;
-    s.parse::<f64>()
-        .map(JsonValue::Num)
-        .map_err(|_| format!("bad number `{s}` at byte {start}"))
+    match s.parse::<f64>() {
+        Ok(_) => Ok(JsonValue::Num(s.to_string())),
+        Err(_) => Err(format!("bad number `{s}` at byte {start}")),
+    }
 }
 
 fn string(b: &[u8], at: &mut usize) -> Result<String, String> {
@@ -346,11 +359,23 @@ mod tests {
     fn parses_scalars_and_structures() {
         assert_eq!(parse("null").unwrap(), JsonValue::Null);
         assert_eq!(parse(" true ").unwrap(), JsonValue::Bool(true));
-        assert_eq!(parse("-1.5e2").unwrap(), JsonValue::Num(-150.0));
+        assert_eq!(parse("-1.5e2").unwrap().as_f64(), Some(-150.0));
         assert_eq!(parse(r#""a\nb\u0041""#).unwrap(), JsonValue::Str("a\nbA".into()));
         let v = parse(r#"{"a":[1,2,{"b":"c"}],"d":{}}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert!(v.get("d").is_some());
+    }
+
+    #[test]
+    fn as_u64_is_exact_for_non_negative_integers_only() {
+        let max = u64::MAX.to_string();
+        assert_eq!(parse(&max).unwrap().as_u64(), Some(u64::MAX));
+        assert_eq!(parse("0").unwrap().as_u64(), Some(0));
+        for not_u64 in ["-1", "1.5", "1e3", "18446744073709551616", "\"7\"", "null"] {
+            assert_eq!(parse(not_u64).unwrap().as_u64(), None, "{not_u64}");
+        }
+        // The f64 view of the same literal is unchanged (and rounded).
+        assert_eq!(parse(&max).unwrap().as_f64(), Some(u64::MAX as f64));
     }
 
     #[test]
