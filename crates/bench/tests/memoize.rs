@@ -2,17 +2,21 @@
 //! pipeline run per `(mode, level)`, and the cached results are identical
 //! to fresh uncached runs.
 //!
-//! `om_core::pipeline_runs` is a process-global counter, so everything that
-//! counts runs lives in this one test function (integration tests get their
-//! own process, and a single `#[test]` can't race with itself).
+//! Runs are counted by the `pipeline.runs` counter of a trace installed on
+//! the test's own thread: `Prepared` runs its pipelines on the calling
+//! thread, so pipelines other tests run on their threads do not count.
 
 use om_bench::figures::{self, Prepared};
-use om_core::{optimize_and_link, pipeline_runs, OmLevel};
+use om_core::{optimize_and_link, OmLevel};
+use om_obs::Trace;
 use om_workloads::build::{build, CompileMode};
 use om_workloads::spec;
 
 #[test]
 fn overlapping_figures_share_pipeline_runs_and_match_fresh_results() {
+    let trace = Trace::new();
+    let _g = trace.install();
+    let pipeline_runs = || trace.counters().get("pipeline.runs").copied().unwrap_or(0);
     let s = spec::quick(&spec::by_name("compress").unwrap());
     let p = Prepared::new(&s);
     assert_eq!(pipeline_runs(), 0, "building must not run the OM pipeline");

@@ -5,10 +5,12 @@
 //! has hitherto been typical for linkers" (§3) — easy here because the loader
 //! format hands OM procedure boundaries, GP ownership, and LITUSE links.
 
-use crate::sym::{GlobalRef, InstId, OmError, SAnchor, SInst, SMark, SymProc, SymProgram};
+use crate::sym::{
+    GlobalRef, InstId, LitaPool, LocalNames, OmError, SAnchor, SInst, SMark, SymProc, SymProgram,
+};
 use om_alpha::{Effects, Inst, JmpOp, Reg};
-use om_linker::{layout, sym_addr, LayoutOpts, ProgramLayout, SymbolTable};
-use om_objfile::{Module, RelocKind, SymId, SymbolDef};
+use om_linker::{common_order, layout_shapes, LayoutOpts, ModuleShape, ProgramLayout};
+use om_objfile::{RelocKind, SecId, SymId, SymbolDef};
 use std::collections::{HashMap, HashSet};
 
 /// A provisional whole-program layout used for reachability decisions.
@@ -16,39 +18,119 @@ use std::collections::{HashMap, HashSet};
 /// Distances only shrink as OM deletes instructions and GAT slots, so any
 /// "fits in 16/21 bits" decision made against a snapshot remains valid for
 /// the final layout.
+///
+/// It is a size-only address model: the layout of the program
+/// [`crate::sym::emit_all`] would produce, computed without encoding an
+/// instruction or building a symbol table. It reads each procedure's
+/// instruction count, each module's `Literal` GAT keys (interned exactly as
+/// emit interns `.lita`) and source section sizes, and the program's
+/// commons, and places them with the linker's own layout core
+/// ([`om_linker::layout_shapes`]).
 pub struct Snapshot {
-    pub modules: Vec<Module>,
-    pub symtab: SymbolTable,
     pub layout: ProgramLayout,
+    /// Per module, per symbol id: where the symbol's definition lands.
+    placed: Vec<Vec<Placed>>,
+}
+
+/// The address model's entry for one symbol: where in its module's
+/// sections it lands.
+#[derive(Debug, Clone, Copy)]
+enum Placed {
+    /// Procedure `index` of its module, `offset` bytes into the module's text.
+    Proc { index: u32, offset: u64 },
+    Data { sec: SecId, offset: u64 },
+    /// Commons and externs: reached through [`GlobalRef::Common`] or the
+    /// defining module's symbol instead.
+    Elsewhere,
 }
 
 impl Snapshot {
-    /// Emits the current symbolic program and lays it out with OM's layout
-    /// policy: commons sorted by size near the GAT when `sort_commons` is set
-    /// (the ablation harness clears it).
+    /// Lays out the current symbolic program with OM's layout policy:
+    /// commons sorted by size near the GAT when `sort_commons` is set (the
+    /// ablation harness clears it). Each call adds one to the
+    /// `snapshot.captures` trace counter.
     ///
     /// # Errors
     ///
-    /// Propagates symbol-table or layout failures.
+    /// Propagates layout failures, and the [`OmError::Internal`] emit would
+    /// raise for a cross-module reference to a local symbol.
     pub fn capture_with(program: &SymProgram, sort_commons: bool) -> Result<Snapshot, OmError> {
-        let modules = crate::sym::emit_all(program)?;
-        let symtab = om_linker::build_symbol_table(&modules)?;
-        let lay = layout(&modules, &symtab, &LayoutOpts { sort_commons })?;
-        Ok(Snapshot { modules, symtab, layout: lay })
+        let _s = om_obs::span("snapshot");
+        om_obs::count("snapshot.captures", 1);
+        let mut shapes = Vec::with_capacity(program.modules.len());
+        let mut placed = Vec::with_capacity(program.modules.len());
+        for (mi, sm) in program.modules.iter().enumerate() {
+            let src = &sm.source;
+            let mut names = LocalNames::new(program, mi);
+            let mut pool = LitaPool::default();
+            let mut syms: Vec<Placed> = src
+                .symbols
+                .iter()
+                .map(|s| match s.def {
+                    SymbolDef::Data { sec, offset, .. } => Placed::Data { sec, offset },
+                    _ => Placed::Elsewhere,
+                })
+                .collect();
+            let mut text = 0;
+            for (index, p) in sm.procs.iter().enumerate() {
+                syms[p.sym.0 as usize] = Placed::Proc { index: index as u32, offset: text };
+                text += 4 * p.insts.len() as u64;
+                for i in &p.insts {
+                    if let SMark::Literal { target, addend, .. } = &i.mark {
+                        pool.intern(names.id(target)?, *addend);
+                    }
+                }
+            }
+            if program.preserve_gat {
+                pool.preserve(&src.lita);
+            }
+            shapes.push(ModuleShape {
+                name: &src.name,
+                text,
+                gat: pool.entries.iter().map(|e| names.gat_key(e)).collect(),
+                sdata: src.sdata.len() as u64,
+                sbss: src.sbss_size,
+                data: src.data.len() as u64,
+                bss: src.bss_size,
+            });
+            placed.push(syms);
+        }
+        let commons = common_order(
+            &program.symtab,
+            program.modules.iter().map(|m| m.source.symbols.as_slice()),
+            &LayoutOpts { sort_commons },
+        );
+        let layout = layout_shapes(&shapes, &commons)?;
+        Ok(Snapshot { layout, placed })
     }
 
     /// Address of a resolved reference.
     ///
     /// # Panics
     ///
-    /// Panics on dangling references (cannot happen after `capture_with`).
+    /// Panics on a reference to neither a procedure, a data object nor a
+    /// common (translation never produces one).
     pub fn addr(&self, r: &GlobalRef) -> u64 {
         match r {
             GlobalRef::Def { module, sym } => {
-                sym_addr(&self.modules, &self.symtab, &self.layout, *module, *sym)
-                    .expect("resolved reference")
+                let b = &self.layout.bases[*module];
+                match self.placed[*module][sym.0 as usize] {
+                    Placed::Proc { offset, .. } => b.text + offset,
+                    Placed::Data { sec, offset } => b.section(sec) + offset,
+                    Placed::Elsewhere => panic!("unresolved reference to symbol {}", sym.0),
+                }
             }
             GlobalRef::Common { name } => self.layout.common_addr[name],
+        }
+    }
+
+    /// The `(module, procedure index)` a reference names, if it names a
+    /// procedure.
+    pub fn proc_of(&self, r: &GlobalRef) -> Option<(usize, usize)> {
+        let GlobalRef::Def { module, sym } = r else { return None };
+        match self.placed[*module][sym.0 as usize] {
+            Placed::Proc { index, .. } => Some((*module, index as usize)),
+            _ => None,
         }
     }
 
@@ -70,14 +152,13 @@ impl Snapshot {
     }
 
     /// Text address of instruction `idx` of the procedure whose symbol is
-    /// `proc` in module `mi`. The procedure's start is the offset its emitted
-    /// symbol carries.
+    /// `proc` in module `mi`.
     ///
     /// # Panics
     ///
-    /// Panics if `proc` is not a procedure symbol (emit guarantees it is).
+    /// Panics if `proc` is not a procedure symbol.
     pub fn inst_addr(&self, mi: usize, proc: SymId, idx: usize) -> u64 {
-        let SymbolDef::Proc { offset, .. } = self.modules[mi].symbol(proc).def else {
+        let Placed::Proc { offset, .. } = self.placed[mi][proc.0 as usize] else {
             panic!("inst_addr: symbol {} is not a procedure", proc.0)
         };
         self.layout.bases[mi].text + offset + 4 * idx as u64

@@ -50,7 +50,10 @@ pub fn run_with(
     options: &crate::pipeline::OmOptions,
 ) -> Result<(), OmError> {
     program.preserve_gat = false;
-    restore_prologues(program);
+    {
+        let _s = om_obs::span("restore");
+        restore_prologues(program);
+    }
 
     // Iterate to the GAT-reduction fixpoint. Each round makes decisions
     // against a fresh layout of the *current* (already shrunk) program;
@@ -217,7 +220,7 @@ fn remove_prologues_and_convert_calls(
     // Delete the prologues of the chosen procedures.
     for r in &drop_prologue {
         let GlobalRef::Def { module, .. } = r else { unreachable!() };
-        let Some((_, pi)) = program.proc_of(r) else { continue };
+        let Some((_, pi)) = snap.proc_of(r) else { continue };
         let p = &mut program.modules[*module].procs[pi];
         let (hi, lo) = prologue_pair_at_entry(p).expect("checked above");
         let doomed: HashSet<InstId> = [hi, lo].into_iter().collect();
@@ -226,17 +229,30 @@ fn remove_prologues_and_convert_calls(
         changed = true;
     }
 
-    // Rewrite call sites.
+    // Rewrite call sites. The sites come grouped by procedure; each
+    // procedure's GP resets and dead PV loads are deleted in one batch once
+    // its last site is rewritten, and its use index is built once. Only a
+    // JSR's own rewrite changes a use (none of the deferred deletions is a
+    // LITUSE consumer), so the index is kept current by dropping that use.
+    let mut current: Option<(usize, usize)> = None;
+    let mut uses = HashMap::new();
+    let mut doomed: HashSet<InstId> = HashSet::new();
     for s in &sites {
+        if current != Some((s.mi, s.pi)) {
+            if let Some((mi, pi)) = current {
+                program.modules[mi].procs[pi].delete(&doomed);
+                doomed.clear();
+            }
+            current = Some((s.mi, s.pi));
+            uses = use_index(&program.modules[s.mi].procs[s.pi]);
+        }
         let key = (s.mi, s.pi, s.jsr_id);
 
         // GP-reset deletion.
         let same_gp = same_gp_target(program, snap, s.mi, &s.kind, preempt);
         if let Some((hi, lo)) = s.gp_reset {
             if same_gp {
-                let p = &mut program.modules[s.mi].procs[s.pi];
-                let doomed: HashSet<InstId> = [hi, lo].into_iter().collect();
-                p.delete(&doomed);
+                doomed.extend([hi, lo]);
                 stats.insts_deleted += 2;
                 book.entry(key).or_insert((false, true)).1 = false;
                 changed = true;
@@ -245,27 +261,24 @@ fn remove_prologues_and_convert_calls(
 
         // JSR → BSR with PV-load removal (never for preemptible targets).
         let CallKind::DirectJsr { load, target } = &s.kind else { continue };
-        if preempt.contains(crate::analysis::ref_name(program, target))
-            || program.proc_of(target).is_none()
-        {
+        let Some((tm, tp)) = snap.proc_of(target) else { continue };
+        if preempt.contains(crate::analysis::ref_name(program, target)) {
             continue;
         }
         let target_addr = snap.addr(target);
         if !bsr_reachable(s.addr, target_addr) {
             continue;
         }
-        let uses = use_index(&program.modules[s.mi].procs[s.pi]);
         let sole_use = uses
             .get(load)
             .map(|u| u.len() == 1 && u[0].1 == UseKind::Jsr)
             .unwrap_or(false);
 
         // Decide the entry point and whether PV dies.
+        let tproc = &program.modules[tm].procs[tp];
         let (mut addend, kill_load) = if drop_prologue.contains(target) {
             (0, sole_use)
         } else if same_gp {
-            let (tm, tp) = program.proc_of(target).expect("checked");
-            let tproc = &program.modules[tm].procs[tp];
             match prologue_pair_at_entry(tproc) {
                 Some((hi, lo)) if sole_use && !reads_pv_outside(tproc, &[hi, lo]) => (8, true),
                 _ => (0, false),
@@ -279,14 +292,11 @@ fn remove_prologues_and_convert_calls(
         // Fault point: a `BSR target+8` against a callee whose entry holds
         // real code (no GPDISP pair left to skip) silently drops two
         // instructions from the callee's execution.
-        if addend == 0 {
-            let entry_is_real_code = program
-                .proc_of(target)
-                .map(|(tm, tp)| prologue_pair_at_entry(&program.modules[tm].procs[tp]).is_none())
-                .unwrap_or(false);
-            if entry_is_real_code && armed(fault, FaultKind::BsrSkew) {
-                addend = 8;
-            }
+        if addend == 0
+            && prologue_pair_at_entry(tproc).is_none()
+            && armed(fault, FaultKind::BsrSkew)
+        {
+            addend = 8;
         }
         // Fault point: the PV load dies below, but the branch forgets the
         // +8 prologue skip that compensates — the callee rebuilds GP from a
@@ -299,15 +309,20 @@ fn remove_prologues_and_convert_calls(
         let at = p.index_of(s.jsr_id);
         p.insts[at].inst = Inst::Br { op: BrOp::Bsr, ra: Reg::RA, disp: 0 };
         p.insts[at].mark = SMark::BrSym { target: target.clone(), addend };
+        if let Some(u) = uses.get_mut(load) {
+            u.retain(|&(k, kind)| (k, kind) != (at, UseKind::Jsr));
+        }
         stats.calls_jsr_to_bsr += 1;
         changed = true;
         if kill_load {
-            let doomed: HashSet<InstId> = [*load].into_iter().collect();
-            p.delete(&doomed);
+            doomed.insert(*load);
             stats.insts_deleted += 1;
             stats.addr_loads_nullified += 1;
             book.entry(key).or_insert((true, false)).0 = false;
         }
+    }
+    if let Some((mi, pi)) = current {
+        program.modules[mi].procs[pi].delete(&doomed);
     }
 
     changed

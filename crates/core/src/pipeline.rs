@@ -10,20 +10,7 @@ use crate::sym::{resolve_symbolic, translate_module, InstId, LocalSymModule, OmE
 use om_linker::{build_symbol_table, link_selected, select_modules, Image, LayoutOpts, LinkStats};
 use om_objfile::{Archive, Module};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Process-wide count of real OM pipeline executions (cache hits in
-/// [`optimize_and_link_cached`] do not count). The evaluation harness and
-/// the relink-cache tests use this counter to prove each unique
-/// `(benchmark, mode, level)` configuration runs at most once per
-/// invocation.
-static PIPELINE_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// Total [`optimize_and_link_with`] executions in this process so far.
-pub fn pipeline_runs() -> u64 {
-    PIPELINE_RUNS.load(Ordering::Relaxed)
-}
 
 /// Per-call-site bookkeeping: `(needs PV load, needs GP reset)`, keyed by
 /// `(module, proc, jsr instruction id)`. Populated before transformation and
@@ -288,7 +275,6 @@ fn run_pipeline(
     options: &OmOptions,
     caches: Option<&OmCaches>,
 ) -> Result<(OmOutput, Emitted), OmError> {
-    PIPELINE_RUNS.fetch_add(1, Ordering::Relaxed);
     let mut pipeline_span = om_obs::span("pipeline");
     om_obs::count("pipeline.runs", 1);
     let modules = {
@@ -297,7 +283,10 @@ fn run_pipeline(
     };
     pipeline_span.arg("modules", modules.len() as u64);
     om_obs::count("pipeline.modules", modules.len() as u64);
-    let symtab = build_symbol_table(&modules)?;
+    let symtab = {
+        let _s = om_obs::span("symtab");
+        build_symbol_table(&modules)?
+    };
     let mut program = {
         let locals_span = om_obs::span("pass.translate");
         om_obs::count("pass.translate.modules", modules.len() as u64);
@@ -331,9 +320,12 @@ fn run_pipeline(
 
     let mut stats = OmStats::default();
     let mut book: CallBook = HashMap::new();
-    let gat_slots_before =
-        om_linker::layout(&modules, &symtab, &LayoutOpts { sort_commons: true })?.gat_slots;
-    collect_before(&program, gat_slots_before, &mut stats, &mut book);
+    {
+        let _s = om_obs::span("before");
+        let gat_slots_before =
+            om_linker::layout(&modules, &symtab, &LayoutOpts { sort_commons: true })?.gat_slots;
+        collect_before(&program, gat_slots_before, &mut stats, &mut book);
+    }
 
     match level {
         OmLevel::None => {}

@@ -108,7 +108,7 @@ pub fn transform_calls(
                 if preempt.contains(crate::analysis::ref_name(program, &target)) {
                     continue;
                 }
-                let Some((tm, tp)) = program.proc_of(&target) else { continue };
+                let Some((tm, tp)) = snap.proc_of(&target) else { continue };
                 let jsr_addr = snap.inst_addr(mi, program.modules[mi].procs[pi].sym, site.at);
                 let target_addr = snap.addr(&target);
                 if !bsr_reachable(jsr_addr, target_addr) {

@@ -581,6 +581,96 @@ pub fn translate(modules: &[Module], symtab: &SymbolTable) -> Result<SymProgram,
     Ok(resolve_symbolic(&locals, symtab))
 }
 
+/// The symbol ids module `mi` gives program objects when it is emitted: its
+/// own symbols keep their ids, and any other object is named by an extern
+/// appended to the module's symbol table on first reference.
+pub(crate) struct LocalNames<'p> {
+    program: &'p SymProgram,
+    mi: usize,
+    by_name: HashMap<&'p str, SymId>,
+    /// Names of the appended externs, in id order after the source symbols.
+    pub appended: Vec<&'p str>,
+}
+
+impl<'p> LocalNames<'p> {
+    pub fn new(program: &'p SymProgram, mi: usize) -> LocalNames<'p> {
+        let by_name = program.modules[mi]
+            .source
+            .symbols
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.name.as_str(), SymId(i as u32)))
+            .collect();
+        LocalNames { program, mi, by_name, appended: Vec::new() }
+    }
+
+    /// The id naming `r` in this module.
+    ///
+    /// # Errors
+    ///
+    /// [`OmError::Internal`] for a cross-module reference to a local symbol.
+    pub fn id(&mut self, r: &'p GlobalRef) -> Result<SymId, OmError> {
+        let name = match r {
+            GlobalRef::Def { module, sym } if *module == self.mi => return Ok(*sym),
+            GlobalRef::Def { module, sym } => {
+                let target = self.program.modules[*module].source.symbol(*sym);
+                if target.vis != Visibility::Exported {
+                    return Err(OmError::Internal {
+                        context: "emit".into(),
+                        what: format!("cross-module reference to local symbol {}", target.name),
+                    });
+                }
+                target.name.as_str()
+            }
+            GlobalRef::Common { name } => name.as_str(),
+        };
+        let base = self.program.modules[self.mi].source.symbols.len();
+        Ok(*self.by_name.entry(name).or_insert_with(|| {
+            self.appended.push(name);
+            SymId((base + self.appended.len() - 1) as u32)
+        }))
+    }
+
+    /// The GAT identity of `.lita` entry `e` of this module (see
+    /// [`om_linker::GatKey`]); appended externs are always global.
+    pub fn gat_key(&self, e: &LitaEntry) -> om_linker::GatKey<'p> {
+        let source = &self.program.modules[self.mi].source;
+        match source.symbols.get(e.sym.0 as usize) {
+            Some(s) => om_linker::GatKey::of(self.mi, e.sym, s, e.addend),
+            None => om_linker::GatKey::Global(
+                self.appended[e.sym.0 as usize - source.symbols.len()],
+                e.addend,
+            ),
+        }
+    }
+}
+
+/// A module's `.lita` as emit builds it: one entry per distinct `(symbol,
+/// addend)`, in first-reference order.
+#[derive(Default)]
+pub(crate) struct LitaPool {
+    interned: HashMap<(SymId, i64), u32>,
+    pub entries: Vec<LitaEntry>,
+}
+
+impl LitaPool {
+    /// The index of the entry for `sym + addend`, added if new.
+    pub fn intern(&mut self, sym: SymId, addend: i64) -> u32 {
+        *self.interned.entry((sym, addend)).or_insert_with(|| {
+            self.entries.push(LitaEntry { sym, addend });
+            self.entries.len() as u32 - 1
+        })
+    }
+
+    /// OM-simple never shrinks the GAT: re-adds the source entries that no
+    /// longer have a referencing instruction.
+    pub fn preserve(&mut self, source: &[LitaEntry]) {
+        for e in source {
+            self.intern(e.sym, e.addend);
+        }
+    }
+}
+
 /// Lowers one symbolic module back to object code.
 ///
 /// The returned module preserves the source's symbol-table order (so
@@ -610,49 +700,8 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
         .cloned()
         .collect();
 
-    let mut name_to_id: HashMap<String, SymId> = m
-        .symbols
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.name.clone(), SymId(i as u32)))
-        .collect();
-    let mut lita_interned: HashMap<(SymId, i64), u32> = HashMap::new();
-
-    let local_sym = |m: &mut Module,
-                         name_to_id: &mut HashMap<String, SymId>,
-                         r: &GlobalRef|
-     -> Result<SymId, OmError> {
-        match r {
-            GlobalRef::Def { module, sym } => {
-                if *module == mi {
-                    return Ok(*sym);
-                }
-                let target = program.modules[*module].source.symbol(*sym);
-                if target.vis != Visibility::Exported {
-                    return Err(OmError::Internal {
-                        context: "emit".into(),
-                        what: format!(
-                            "cross-module reference to local symbol {}",
-                            target.name
-                        ),
-                    });
-                }
-                Ok(*name_to_id.entry(target.name.clone()).or_insert_with(|| {
-                    let id = SymId(m.symbols.len() as u32);
-                    m.symbols.push(Symbol::external(&target.name));
-                    id
-                }))
-            }
-            GlobalRef::Common { name } => {
-                Ok(*name_to_id.entry(name.clone()).or_insert_with(|| {
-                    let id = SymId(m.symbols.len() as u32);
-                    m.symbols.push(Symbol::external(name));
-                    id
-                }))
-            }
-        }
-    };
-
+    let mut names = LocalNames::new(program, mi);
+    let mut pool = LitaPool::default();
     for p in &sm.procs {
         let start = m.text.len() as u64;
         // Offsets by id.
@@ -675,12 +724,8 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
             match &si.mark {
                 SMark::None => {}
                 SMark::Literal { target, addend, escaping } => {
-                    let sym = local_sym(&mut m, &mut name_to_id, target)?;
-                    let slot = *lita_interned.entry((sym, *addend)).or_insert_with(|| {
-                        let i = m.lita.len() as u32;
-                        m.lita.push(LitaEntry { sym, addend: *addend });
-                        i
-                    });
+                    let sym = names.id(target)?;
+                    let slot = pool.intern(sym, *addend);
                     m.relocs.push(Reloc::text(here, RelocKind::Literal { lita: slot }));
                     if *escaping {
                         m.relocs
@@ -721,7 +766,7 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
                 }
                 SMark::GpdispLo { .. } => {}
                 SMark::BrSym { target, addend } => {
-                    let sym = local_sym(&mut m, &mut name_to_id, target)?;
+                    let sym = names.id(target)?;
                     m.relocs
                         .push(Reloc::text(here, RelocKind::BrAddr { sym, addend: *addend }));
                 }
@@ -738,21 +783,21 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
                     }
                 }
                 SMark::Gprel { target, addend } => {
-                    let sym = local_sym(&mut m, &mut name_to_id, target)?;
+                    let sym = names.id(target)?;
                     m.relocs.push(Reloc::text(
                         here,
                         RelocKind::Gprel16 { sym, addend: *addend, gp_group: 0 },
                     ));
                 }
                 SMark::GprelHi { target, addend } => {
-                    let sym = local_sym(&mut m, &mut name_to_id, target)?;
+                    let sym = names.id(target)?;
                     m.relocs.push(Reloc::text(
                         here,
                         RelocKind::GprelHigh { sym, addend: *addend, gp_group: 0 },
                     ));
                 }
                 SMark::GprelLo { target, addend, hi_addend } => {
-                    let sym = local_sym(&mut m, &mut name_to_id, target)?;
+                    let sym = names.id(target)?;
                     m.relocs.push(Reloc::text(
                         here,
                         RelocKind::GprelLow {
@@ -783,18 +828,11 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
         }
     }
 
-    // OM-simple never shrinks the GAT: re-add original slots that no longer
-    // have a referencing instruction.
     if program.preserve_gat {
-        for e in &src.lita {
-            if let std::collections::hash_map::Entry::Vacant(v) =
-                lita_interned.entry((e.sym, e.addend))
-            {
-                v.insert(m.lita.len() as u32);
-                m.lita.push(*e);
-            }
-        }
+        pool.preserve(&src.lita);
     }
+    m.lita = pool.entries;
+    m.symbols.extend(names.appended.iter().map(|&n| Symbol::external(n)));
 
     m.relocs.sort_by_key(|r| {
         let rank = match r.kind {
@@ -804,6 +842,7 @@ pub fn emit_module(program: &SymProgram, mi: usize) -> Result<Module, OmError> {
         };
         (r.sec, r.offset, rank)
     });
+    om_obs::count("emit.insts", m.text.len() as u64 / 4);
     Ok(m)
 }
 

@@ -185,8 +185,15 @@ fn full_sched_link_lays_out_each_program_state_once() {
     let counters = trace.counters();
     let rounds = counters["pipeline.full_rounds"];
     assert!(rounds > 0, "{counters:?}");
-    // One layout of the input program, one per fixpoint round, and one of
-    // the emitted program shared by the image, the GAT count and verify.
-    assert_eq!(counters.get("layout.calls"), Some(&(rounds + 2)), "{counters:?}");
+    // Object code is laid out twice: the input program (for the GAT count
+    // before) and the emitted program, shared by the image, the GAT count
+    // after and verify. Each fixpoint round reads one size-only address
+    // model instead of emitting and laying out the program.
+    assert_eq!(counters.get("layout.calls"), Some(&2), "{counters:?}");
+    assert_eq!(counters.get("snapshot.captures"), Some(&rounds), "{counters:?}");
+    // The program is encoded once: the final emit.
+    let s = &out.stats;
+    let final_insts = s.insts_before + s.unops_inserted - s.insts_deleted;
+    assert_eq!(counters.get("emit.insts"), Some(&(final_insts as u64)), "{counters:?}");
     assert_eq!(out.stats.gat_slots_after, out.link.gat_slots);
 }

@@ -11,7 +11,7 @@
 use crate::error::LinkError;
 use crate::image::{Extent, LayoutInfo};
 use crate::resolve::SymbolTable;
-use om_objfile::{Module, SecId, SymbolDef, SymId, Visibility, DATA_BASE, TEXT_BASE};
+use om_objfile::{Module, SecId, Symbol, SymbolDef, SymId, Visibility, DATA_BASE, TEXT_BASE};
 use std::collections::HashMap;
 
 /// Maximum GAT slots per GP group: a signed 16-bit displacement spans 64KB
@@ -40,12 +40,67 @@ pub struct ModuleBases {
     pub bss: u64,
 }
 
+impl ModuleBases {
+    /// Base address of the module's section `sec`.
+    pub fn section(&self, sec: SecId) -> u64 {
+        match sec {
+            SecId::Text => self.text,
+            SecId::Data => self.data,
+            SecId::Sdata => self.sdata,
+            SecId::Sbss => self.sbss,
+            SecId::Bss => self.bss,
+        }
+    }
+}
+
 /// Identity of a GAT entry for deduplication: the resolved symbol plus
-/// addend. Locally-visible symbols are distinct per module.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum GatKey {
-    Global(String, i64),
+/// addend. Locally-visible symbols are distinct per module; everything else
+/// is identified by its (borrowed) name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GatKey<'a> {
+    Global(&'a str, i64),
     Local(usize, SymId, i64),
+}
+
+impl<'a> GatKey<'a> {
+    /// The key of a `.lita` entry naming `s`, symbol `id` of module `mi`.
+    pub fn of(mi: usize, id: SymId, s: &'a Symbol, addend: i64) -> GatKey<'a> {
+        if s.vis == Visibility::Local && s.is_defined() {
+            GatKey::Local(mi, id, addend)
+        } else {
+            // Exported definition or external reference: identity is the name.
+            GatKey::Global(&s.name, addend)
+        }
+    }
+}
+
+/// Everything the layout reads of one module: its text size, its GAT keys
+/// in `.lita` order, and its data-section sizes. The name only labels range
+/// errors.
+#[derive(Debug, Clone)]
+pub struct ModuleShape<'a> {
+    pub name: &'a str,
+    pub text: u64,
+    pub gat: Vec<GatKey<'a>>,
+    pub sdata: u64,
+    pub sbss: u64,
+    pub data: u64,
+    pub bss: u64,
+}
+
+impl<'a> ModuleShape<'a> {
+    /// The shape of module `mi` of a link.
+    fn of(mi: usize, m: &'a Module) -> ModuleShape<'a> {
+        ModuleShape {
+            name: &m.name,
+            text: m.text.len() as u64,
+            gat: m.lita.iter().map(|e| GatKey::of(mi, e.sym, m.symbol(e.sym), e.addend)).collect(),
+            sdata: m.sdata.len() as u64,
+            sbss: m.sbss_size,
+            data: m.data.len() as u64,
+            bss: m.bss_size,
+        }
+    }
 }
 
 /// The computed program layout.
@@ -98,32 +153,82 @@ fn data_bump(addr: &mut u64, size: u64, what: impl FnOnce() -> String) -> Result
 }
 
 /// Computes the layout of `modules`. Each call adds one to the
-/// `layout.calls` trace counter, which pins how often a link lays out.
+/// `layout.calls` trace counter, which pins how often a link lays out
+/// object code.
 ///
 /// # Errors
 ///
-/// [`LinkError::Range`] when a single module's literal pool cannot fit one
-/// GAT group (groups split only at module boundaries) or when the section
-/// sizes overflow the data segment's addressable span.
+/// See [`layout_shapes`].
 pub fn layout(
     modules: &[Module],
     symtab: &SymbolTable,
     opts: &LayoutOpts,
 ) -> Result<ProgramLayout, LinkError> {
     om_obs::count("layout.calls", 1);
+    let shapes: Vec<ModuleShape> =
+        modules.iter().enumerate().map(|(mi, m)| ModuleShape::of(mi, m)).collect();
+    let commons = common_order(symtab, modules.iter().map(|m| m.symbols.as_slice()), opts);
+    layout_shapes(&shapes, &commons)
+}
+
+/// The order commons are allocated in: by size (then name) under
+/// `sort_commons` (OM-simple's improvement), else the order their names
+/// first appear across the modules' symbol tables `symbols`. Each entry is
+/// `(name, size, alignment)`.
+pub fn common_order<'a>(
+    symtab: &'a SymbolTable,
+    symbols: impl Iterator<Item = &'a [Symbol]>,
+    opts: &LayoutOpts,
+) -> Vec<(&'a str, u64, u64)> {
+    let mut commons: Vec<(&str, u64, u64)> = symtab
+        .commons
+        .iter()
+        .map(|(n, &(size, al))| (n.as_str(), size, al))
+        .collect();
+    if opts.sort_commons {
+        commons.sort_unstable_by_key(|&(n, size, _)| (size, n));
+    } else {
+        // Deterministic "input" order: the order names first appear across
+        // modules.
+        let mut first_seen: HashMap<&str, usize> = HashMap::new();
+        for s in symbols.flatten() {
+            if matches!(s.def, SymbolDef::Common { .. }) {
+                let next = first_seen.len();
+                first_seen.entry(&s.name).or_insert(next);
+            }
+        }
+        commons.sort_by_key(|&(n, _, _)| first_seen.get(n).copied().unwrap_or(usize::MAX));
+    }
+    commons
+}
+
+/// The layout core: places the modules described by `shapes` and the
+/// `commons` in the given order. [`layout`] feeds it object modules; OM's
+/// per-round address model feeds it sizes read straight off the symbolic
+/// program.
+///
+/// # Errors
+///
+/// [`LinkError::Range`] when a single module's literal pool cannot fit one
+/// GAT group (groups split only at module boundaries) or when the section
+/// sizes overflow the data segment's addressable span.
+pub fn layout_shapes(
+    shapes: &[ModuleShape<'_>],
+    commons: &[(&str, u64, u64)],
+) -> Result<ProgramLayout, LinkError> {
     let mut out = ProgramLayout {
-        bases: vec![ModuleBases::default(); modules.len()],
-        group_of_module: vec![0; modules.len()],
-        lita_addr: modules.iter().map(|m| vec![0; m.lita.len()]).collect(),
+        bases: vec![ModuleBases::default(); shapes.len()],
+        group_of_module: vec![0; shapes.len()],
+        lita_addr: shapes.iter().map(|m| vec![0; m.gat.len()]).collect(),
         ..ProgramLayout::default()
     };
 
     // Text.
     let mut pc = TEXT_BASE;
-    for (mi, m) in modules.iter().enumerate() {
+    for (mi, m) in shapes.iter().enumerate() {
         pc = align(pc, 16);
         out.bases[mi].text = pc;
-        pc += m.text.len() as u64;
+        pc += m.text;
     }
     out.info.text = Extent { base: TEXT_BASE, size: pc - TEXT_BASE };
 
@@ -135,15 +240,10 @@ pub fn layout(
     let mut group_id: u32 = 0;
     let mut group_bases: Vec<u64> = vec![group_start];
 
-    for (mi, m) in modules.iter().enumerate() {
-        out.gat_entries_input += m.lita.len();
+    for (mi, m) in shapes.iter().enumerate() {
+        out.gat_entries_input += m.gat.len();
         // How many new slots would this module add to the current group?
-        let keys: Vec<GatKey> = m
-            .lita
-            .iter()
-            .map(|e| gat_key(modules, symtab, mi, e.sym, e.addend))
-            .collect();
-        let new = keys.iter().filter(|k| !current.contains_key(*k)).count();
+        let new = m.gat.iter().filter(|k| !current.contains_key(*k)).count();
         if current.len() + new > GAT_GROUP_CAPACITY {
             if !current.is_empty() {
                 // Seal the group and start a new one for this module.
@@ -155,7 +255,7 @@ pub fn layout(
             // Groups split only at module boundaries, so a module whose own
             // pool outgrows a fresh group can never be laid out — the wall
             // a monolithic compile-all merge of a scale-sized program hits.
-            let distinct = keys.iter().collect::<std::collections::HashSet<_>>().len();
+            let distinct = m.gat.iter().collect::<std::collections::HashSet<_>>().len();
             if distinct > GAT_GROUP_CAPACITY {
                 return Err(LinkError::Range {
                     what: format!(
@@ -168,7 +268,7 @@ pub fn layout(
             }
         }
         out.group_of_module[mi] = group_id;
-        for (li, k) in keys.into_iter().enumerate() {
+        for (li, &k) in m.gat.iter().enumerate() {
             let slot = *current.entry(k).or_insert_with(|| {
                 let a = addr;
                 addr += 8;
@@ -185,91 +285,50 @@ pub fn layout(
 
     // .sdata per module.
     let sdata_base = addr;
-    for (mi, m) in modules.iter().enumerate() {
+    for (mi, m) in shapes.iter().enumerate() {
         out.bases[mi].sdata = addr;
-        data_bump(&mut addr, m.sdata.len() as u64, || format!(".sdata of `{}`", m.name))?;
+        data_bump(&mut addr, m.sdata, || format!(".sdata of `{}`", m.name))?;
     }
     addr = align(addr, 8);
     out.info.sdata = Extent { base: sdata_base, size: addr - sdata_base };
 
-    // Commons, optionally sorted by size (OM-simple's improvement).
-    let mut commons: Vec<(&String, u64, u64)> = symtab
-        .commons
-        .iter()
-        .map(|(n, &(size, al))| (n, size, al))
-        .collect();
-    if opts.sort_commons {
-        commons.sort_by_key(|&(n, size, _)| (size, n.clone()));
-    } else {
-        // Deterministic "input" order: the order names first appear across
-        // modules.
-        let mut first_seen: HashMap<&str, usize> = HashMap::new();
-        let mut i = 0;
-        for m in modules {
-            for s in &m.symbols {
-                if matches!(s.def, SymbolDef::Common { .. })
-                    && !first_seen.contains_key(s.name.as_str())
-                {
-                    first_seen.insert(&s.name, i);
-                    i += 1;
-                }
-            }
-        }
-        commons.sort_by_key(|&(n, _, _)| first_seen.get(n.as_str()).copied().unwrap_or(usize::MAX));
-    }
-    for (name, size, al) in commons {
+    // Commons, in the caller's allocation order.
+    for &(name, size, al) in commons {
         addr = align(addr, al.max(8));
-        out.common_addr.insert(name.clone(), addr);
+        out.common_addr.insert(name.to_string(), addr);
         data_bump(&mut addr, size, || format!("common `{name}`"))?;
     }
 
     // .sbss per module.
     let sbss_base = addr;
-    for (mi, m) in modules.iter().enumerate() {
+    for (mi, m) in shapes.iter().enumerate() {
         addr = align(addr, 8);
         out.bases[mi].sbss = addr;
-        data_bump(&mut addr, m.sbss_size, || format!(".sbss of `{}`", m.name))?;
+        data_bump(&mut addr, m.sbss, || format!(".sbss of `{}`", m.name))?;
     }
     out.info.sbss = Extent { base: sbss_base, size: addr - sbss_base };
 
     // .data per module.
     addr = align(addr, 16);
     let data_base = addr;
-    for (mi, m) in modules.iter().enumerate() {
+    for (mi, m) in shapes.iter().enumerate() {
         addr = align(addr, 16);
         out.bases[mi].data = addr;
-        data_bump(&mut addr, m.data.len() as u64, || format!(".data of `{}`", m.name))?;
+        data_bump(&mut addr, m.data, || format!(".data of `{}`", m.name))?;
     }
     out.info.data = Extent { base: data_base, size: addr - data_base };
 
     // .bss per module.
     addr = align(addr, 16);
     let bss_base = addr;
-    for (mi, m) in modules.iter().enumerate() {
+    for (mi, m) in shapes.iter().enumerate() {
         addr = align(addr, 16);
         out.bases[mi].bss = addr;
-        data_bump(&mut addr, m.bss_size, || format!(".bss of `{}`", m.name))?;
+        data_bump(&mut addr, m.bss, || format!(".bss of `{}`", m.name))?;
     }
     out.info.bss = Extent { base: bss_base, size: addr - bss_base };
 
     Ok(out)
-}
-
-fn gat_key(
-    modules: &[Module],
-    symtab: &SymbolTable,
-    mi: usize,
-    sym: SymId,
-    addend: i64,
-) -> GatKey {
-    let s = modules[mi].symbol(sym);
-    if s.vis == Visibility::Local && s.is_defined() {
-        GatKey::Local(mi, sym, addend)
-    } else {
-        // Exported definition or external reference: identity is the name.
-        let _ = symtab;
-        GatKey::Global(s.name.clone(), addend)
-    }
 }
 
 /// Resolves the address of a symbol reference `(module, id)` under `layout`.
@@ -298,13 +357,7 @@ pub fn sym_addr(
         let b = &layout.bases[dm];
         let addr = match &d.def {
             SymbolDef::Proc { offset, .. } => b.text + offset,
-            SymbolDef::Data { sec, offset, .. } => match sec {
-                SecId::Data => b.data + offset,
-                SecId::Sdata => b.sdata + offset,
-                SecId::Sbss => b.sbss + offset,
-                SecId::Bss => b.bss + offset,
-                SecId::Text => b.text + offset,
-            },
+            SymbolDef::Data { sec, offset, .. } => b.section(*sec) + offset,
             SymbolDef::Common { .. } | SymbolDef::Extern => {
                 // A "defined" local common cannot exist; fall through to the
                 // common allocation.

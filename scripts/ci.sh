@@ -33,7 +33,8 @@ cargo test -q --release -p om-sim --test block_equiv
 echo "== trace smoke (om --trace-json -> omtrace check) =="
 # One workload through the command-line pipeline with tracing on: the
 # emitted chrome://tracing JSON must parse, spans must nest, and every
-# enabled pass (plus the link phases and reconciling counters) must appear.
+# enabled pass (plus the link phases, the fixpoint rounds' address-model
+# snapshots and reconciling counters) must appear.
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
 cargo run --release -p om-workloads --bin genbench -- compress "$tracedir" --quick
@@ -46,8 +47,9 @@ cargo run --release -p om-obs --bin omtrace -- check "$tracedir/trace.json" \
     --require pass.resolve --require pass.calls --require pass.convert \
     --require pass.nullify --require pass.resched --require emit \
     --require link --require link.layout --require link.image \
+    --require snapshot \
     --require-counter pipeline.runs --require-counter pipeline.image_bytes \
-    --require-counter link.gat_slots
+    --require-counter link.gat_slots --require-counter snapshot.captures
 
 echo "== figure drift =="
 scripts/bench.sh --refresh
