@@ -6,7 +6,8 @@
 //! format hands OM procedure boundaries, GP ownership, and LITUSE links.
 
 use crate::sym::{
-    GlobalRef, InstId, LitaPool, LocalNames, OmError, SAnchor, SInst, SMark, SymProc, SymProgram,
+    resolve_ref, GlobalRef, InstId, LitaPool, LocalNames, OmError, SAnchor, SInst, SMark, SymProc,
+    SymProgram,
 };
 use om_alpha::{Effects, Inst, JmpOp, Reg};
 use om_linker::{common_order, layout_shapes, LayoutOpts, ModuleShape, ProgramLayout};
@@ -308,7 +309,7 @@ pub fn address_taken(program: &SymProgram) -> HashSet<GlobalRef> {
                 continue;
             }
             if let RelocKind::RefQuad { sym, .. } = r.kind {
-                taken.insert(crate::analysis::resolve_like(program, mi, sym));
+                taken.insert(resolve_ref(&m.source, &program.symtab, mi, sym));
             }
         }
         // The entry procedure.
@@ -319,18 +320,6 @@ pub fn address_taken(program: &SymProgram) -> HashSet<GlobalRef> {
         }
     }
     taken
-}
-
-/// Resolves a module-local symbol id the same way translation did.
-pub fn resolve_like(program: &SymProgram, mi: usize, sym: om_objfile::SymId) -> GlobalRef {
-    let s = program.modules[mi].source.symbol(sym);
-    if s.is_defined() && !matches!(s.def, SymbolDef::Common { .. }) {
-        return GlobalRef::Def { module: mi, sym };
-    }
-    if let Some(&(dm, did)) = program.symtab.globals.get(&s.name) {
-        return GlobalRef::Def { module: dm, sym: did };
-    }
-    GlobalRef::Common { name: s.name.clone() }
 }
 
 /// True if the procedure's first two instructions are its entry GPDISP pair.
@@ -368,11 +357,6 @@ pub fn reads_pv_outside(proc: &SymProc, exclude: &[InstId]) -> bool {
             && !matches!(i.inst, Inst::Jmp { op: JmpOp::Jsr, .. })
             && Effects::of(&i.inst).reads_int(Reg::PV)
     })
-}
-
-/// Counts instructions that retire as no-ops.
-pub fn count_nops(proc: &SymProc) -> usize {
-    proc.insts.iter().filter(|i| i.inst.is_nop()).count()
 }
 
 /// All instructions of a procedure as `(index, &SInst)` that are address

@@ -31,15 +31,15 @@ pub enum FaultKind {
     /// instead of leaving the no-op, while still counting it as a
     /// nullification — the instruction accounting no longer balances.
     NullifyDelete,
-    /// `full::remove_prologues_and_convert_calls`: at a conversion that
-    /// deletes the PV load *and* compensates by entering the callee at
-    /// `entry+8` (skipping its GP-from-PV prologue), drop the compensation:
-    /// branch to `entry+0`. The callee's GPDISP pair then rebuilds GP from
-    /// whatever stale value PV happens to hold.
+    /// `simple::rewrite_calls`: at a conversion that removes the PV load
+    /// *and* compensates by entering the callee at `entry+8` (skipping its
+    /// GP-from-PV prologue), drop the compensation: branch to `entry+0`.
+    /// The callee's GPDISP pair then rebuilds GP from whatever stale value
+    /// PV happens to hold.
     PvLoadDrop,
-    /// `full::remove_prologues_and_convert_calls`: emit a prologue-skipping
-    /// `BSR target+8` for a callee whose first two instructions are real
-    /// code (its GPDISP pair was deleted), silently skipping them.
+    /// `simple::rewrite_calls`: emit a prologue-skipping `BSR target+8` for
+    /// a callee whose first two instructions are real code (its GPDISP pair
+    /// was deleted or scheduled away), silently skipping them.
     BsrSkew,
     /// `resched::schedule_proc`: after scheduling, swap the first adjacent
     /// truly-dependent instruction pair of the procedure — the consumer now
@@ -49,8 +49,8 @@ pub enum FaultKind {
     /// pair of a procedure that prologue-skipping `BSR +8` callers enter at
     /// a fixed offset — those callers now land mid-pair.
     EntryPad,
-    /// `pipeline::optimize_and_link_with`: claim one deletion that never
-    /// happened in the transformation statistics.
+    /// `pipeline::run_pipeline`: claim one deletion that never happened in
+    /// the transformation statistics.
     CountSkew,
 }
 

@@ -14,31 +14,18 @@
 //!   more slots — "perhaps enabling a fresh round of the other improvements".
 
 use crate::analysis::{
-    address_taken, call_sites, find_entry_pair, prologue_pair_at_entry, reads_pv_outside,
-    same_gp_target, use_index, CallKind, Snapshot, UseKind,
+    address_taken, find_entry_pair, prologue_pair_at_entry, reads_pv_outside, CallKind, Snapshot,
 };
-use crate::fault::{armed, FaultKind, FaultPlan};
 use crate::pipeline::CallBook;
-use crate::simple::{bsr_reachable, transform_address_loads};
+use crate::simple::{
+    bsr_reachable, frozen_call_sites, rewrite_calls, transform_address_loads, FrozenSite, Removal,
+};
 use crate::stats::OmStats;
 use crate::sym::{GlobalRef, InstId, OmError, SMark, SymProgram};
-use om_alpha::{BrOp, Effects, Inst, Reg};
+use om_alpha::{Effects, Reg};
 use std::collections::{HashMap, HashSet};
 
 /// Runs OM-full over the program.
-///
-/// # Errors
-///
-/// Propagates snapshot (layout) failures.
-pub fn run(
-    program: &mut SymProgram,
-    stats: &mut OmStats,
-    book: &mut CallBook,
-) -> Result<(), OmError> {
-    run_with(program, stats, book, &crate::pipeline::OmOptions::default())
-}
-
-/// [`run`] with explicit ablation options (layout policy, fixpoint budget).
 ///
 /// # Errors
 ///
@@ -59,22 +46,28 @@ pub fn run_with(
     // against a fresh layout of the *current* (already shrunk) program;
     // distances only shrink, so earlier decisions stay valid.
     let preempt: HashSet<&str> = options.preemptible.iter().map(String::as_str).collect();
+    let fault = options.fault.as_ref();
     for _round in 0..options.max_rounds {
         let snap = Snapshot::capture_with(program, options.sort_commons)?;
-        let mut changed = false;
         let m = crate::obs::PassMeter::begin("calls", stats);
-        changed |= remove_prologues_and_convert_calls(
+        let sites = frozen_call_sites(program, &snap);
+        let dropped = remove_prologues(program, &snap, &sites, stats, &preempt);
+        let mut changed = !dropped.is_empty();
+        changed |= rewrite_calls(
             program,
             &snap,
+            &sites,
+            &dropped,
+            Removal::Delete,
             stats,
             book,
             &preempt,
-            options.fault.as_ref(),
+            fault,
         );
         m.end(stats);
         let before = (stats.addr_loads_converted, stats.addr_loads_nullified);
         let m = crate::obs::PassMeter::begin("convert", stats);
-        transform_address_loads(program, &snap, stats, &preempt, options.fault.as_ref());
+        transform_address_loads(program, &snap, stats, &preempt, fault);
         m.end(stats);
         changed |= (stats.addr_loads_converted, stats.addr_loads_nullified) != before;
         // Deletion: in OM-full every nullified instruction is actually
@@ -135,44 +128,20 @@ pub fn restore_prologues(program: &mut SymProgram) {
     }
 }
 
-/// One round of call-site optimization with whole-program knowledge.
-/// Returns true if anything changed.
-fn remove_prologues_and_convert_calls(
+/// Deletes the entry GPDISP pair of every procedure that can lose it, with
+/// whole-program knowledge: the procedure is not preemptible, its address
+/// never escapes, nothing past the pair reads the incoming PV, and each of
+/// its call sites (`sites`, addresses under `snap`) is in its GAT group,
+/// reaches its entry with a BSR and does not already skip the pair.
+/// Returns the procedures whose prologue went.
+fn remove_prologues(
     program: &mut SymProgram,
     snap: &Snapshot,
+    sites: &[FrozenSite],
     stats: &mut OmStats,
-    book: &mut CallBook,
     preempt: &HashSet<&str>,
-    fault: Option<&FaultPlan>,
-) -> bool {
+) -> HashSet<GlobalRef> {
     let taken = address_taken(program);
-
-    // Collect every call site with its caller coordinates and its address
-    // under the snapshot (mutations below shift indices, so addresses are
-    // frozen now).
-    struct Site {
-        mi: usize,
-        pi: usize,
-        addr: u64,
-        jsr_id: InstId,
-        kind: CallKind,
-        gp_reset: Option<(InstId, InstId)>,
-    }
-    let mut sites: Vec<Site> = Vec::new();
-    for (mi, m) in program.modules.iter().enumerate() {
-        for (pi, p) in m.procs.iter().enumerate() {
-            for s in call_sites(p) {
-                sites.push(Site {
-                    mi,
-                    pi,
-                    addr: snap.inst_addr(mi, p.sym, s.at),
-                    jsr_id: p.insts[s.at].id,
-                    kind: s.kind,
-                    gp_reset: s.gp_reset,
-                });
-            }
-        }
-    }
 
     // Group call sites per target procedure.
     let mut callers: HashMap<GlobalRef, Vec<usize>> = HashMap::new();
@@ -182,8 +151,7 @@ fn remove_prologues_and_convert_calls(
         }
     }
 
-    // Which procedures can lose their prologue GP setup entirely?
-    let mut drop_prologue: HashSet<GlobalRef> = HashSet::new();
+    let mut dropped: HashSet<GlobalRef> = HashSet::new();
     for (mi, m) in program.modules.iter().enumerate() {
         for p in &m.procs {
             let r = GlobalRef::Def { module: mi, sym: p.sym };
@@ -210,15 +178,12 @@ fn remove_prologues_and_convert_calls(
             });
             // A procedure with no callers at all (dead) also qualifies.
             if all_ok.unwrap_or(true) {
-                drop_prologue.insert(r);
+                dropped.insert(r);
             }
         }
     }
 
-    let mut changed = false;
-
-    // Delete the prologues of the chosen procedures.
-    for r in &drop_prologue {
+    for r in &dropped {
         let GlobalRef::Def { module, .. } = r else { unreachable!() };
         let Some((_, pi)) = snap.proc_of(r) else { continue };
         let p = &mut program.modules[*module].procs[pi];
@@ -226,106 +191,8 @@ fn remove_prologues_and_convert_calls(
         let doomed: HashSet<InstId> = [hi, lo].into_iter().collect();
         p.delete(&doomed);
         stats.insts_deleted += 2;
-        changed = true;
     }
-
-    // Rewrite call sites. The sites come grouped by procedure; each
-    // procedure's GP resets and dead PV loads are deleted in one batch once
-    // its last site is rewritten, and its use index is built once. Only a
-    // JSR's own rewrite changes a use (none of the deferred deletions is a
-    // LITUSE consumer), so the index is kept current by dropping that use.
-    let mut current: Option<(usize, usize)> = None;
-    let mut uses = HashMap::new();
-    let mut doomed: HashSet<InstId> = HashSet::new();
-    for s in &sites {
-        if current != Some((s.mi, s.pi)) {
-            if let Some((mi, pi)) = current {
-                program.modules[mi].procs[pi].delete(&doomed);
-                doomed.clear();
-            }
-            current = Some((s.mi, s.pi));
-            uses = use_index(&program.modules[s.mi].procs[s.pi]);
-        }
-        let key = (s.mi, s.pi, s.jsr_id);
-
-        // GP-reset deletion.
-        let same_gp = same_gp_target(program, snap, s.mi, &s.kind, preempt);
-        if let Some((hi, lo)) = s.gp_reset {
-            if same_gp {
-                doomed.extend([hi, lo]);
-                stats.insts_deleted += 2;
-                book.entry(key).or_insert((false, true)).1 = false;
-                changed = true;
-            }
-        }
-
-        // JSR → BSR with PV-load removal (never for preemptible targets).
-        let CallKind::DirectJsr { load, target } = &s.kind else { continue };
-        let Some((tm, tp)) = snap.proc_of(target) else { continue };
-        if preempt.contains(crate::analysis::ref_name(program, target)) {
-            continue;
-        }
-        let target_addr = snap.addr(target);
-        if !bsr_reachable(s.addr, target_addr) {
-            continue;
-        }
-        let sole_use = uses
-            .get(load)
-            .map(|u| u.len() == 1 && u[0].1 == UseKind::Jsr)
-            .unwrap_or(false);
-
-        // Decide the entry point and whether PV dies.
-        let tproc = &program.modules[tm].procs[tp];
-        let (mut addend, kill_load) = if drop_prologue.contains(target) {
-            (0, sole_use)
-        } else if same_gp {
-            match prologue_pair_at_entry(tproc) {
-                Some((hi, lo)) if sole_use && !reads_pv_outside(tproc, &[hi, lo]) => (8, true),
-                _ => (0, false),
-            }
-        } else {
-            // Different GP group: the callee still derives its GP from PV,
-            // so the PV load must stay; BSR is still profitable.
-            (0, false)
-        };
-
-        // Fault point: a `BSR target+8` against a callee whose entry holds
-        // real code (no GPDISP pair left to skip) silently drops two
-        // instructions from the callee's execution.
-        if addend == 0
-            && prologue_pair_at_entry(tproc).is_none()
-            && armed(fault, FaultKind::BsrSkew)
-        {
-            addend = 8;
-        }
-        // Fault point: the PV load dies below, but the branch forgets the
-        // +8 prologue skip that compensates — the callee rebuilds GP from a
-        // stale PV.
-        if addend == 8 && kill_load && armed(fault, FaultKind::PvLoadDrop) {
-            addend = 0;
-        }
-
-        let p = &mut program.modules[s.mi].procs[s.pi];
-        let at = p.index_of(s.jsr_id);
-        p.insts[at].inst = Inst::Br { op: BrOp::Bsr, ra: Reg::RA, disp: 0 };
-        p.insts[at].mark = SMark::BrSym { target: target.clone(), addend };
-        if let Some(u) = uses.get_mut(load) {
-            u.retain(|&(k, kind)| (k, kind) != (at, UseKind::Jsr));
-        }
-        stats.calls_jsr_to_bsr += 1;
-        changed = true;
-        if kill_load {
-            doomed.insert(*load);
-            stats.insts_deleted += 1;
-            stats.addr_loads_nullified += 1;
-            book.entry(key).or_insert((true, false)).0 = false;
-        }
-    }
-    if let Some((mi, pi)) = current {
-        program.modules[mi].procs[pi].delete(&doomed);
-    }
-
-    changed
+    dropped
 }
 
 /// Deletes all no-op instructions (OM-full turns transform residue into

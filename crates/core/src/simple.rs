@@ -13,6 +13,10 @@
 //! * after-call GP resets become no-ops when caller and callee share a GAT;
 //! * commons are sorted by size near the GAT (a layout policy, applied when
 //!   the optimized program is linked).
+//!
+//! OM-full runs the same two transformations ([`rewrite_calls`],
+//! [`transform_address_loads`]); it only adds prologue deletion and deletes
+//! what this level turns into no-ops.
 
 use crate::analysis::{
     call_sites, load_dest, prologue_pair_at_entry, reads_pv_outside, same_gp_target, use_index,
@@ -21,11 +25,12 @@ use crate::analysis::{
 use crate::fault::{armed, FaultKind, FaultPlan};
 use crate::pipeline::CallBook;
 use crate::stats::OmStats;
-use crate::sym::{OmError, SMark, SymProgram};
+use crate::sym::{GlobalRef, InstId, OmError, SMark, SymProc, SymProgram};
 use om_alpha::{BrOp, Inst, MemOp, Reg};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
-/// True if `disp` fits a branch's signed 21-bit word-displacement field.
+/// True if a branch at `from` reaches `to` within its signed 21-bit
+/// word-displacement field.
 pub fn bsr_reachable(from: u64, to: u64) -> bool {
     let delta = to as i64 - (from as i64 + 4);
     if delta % 4 != 0 {
@@ -40,19 +45,6 @@ pub fn bsr_reachable(from: u64, to: u64) -> bool {
 /// # Errors
 ///
 /// Propagates snapshot (layout) failures.
-pub fn run(
-    program: &mut SymProgram,
-    stats: &mut OmStats,
-    book: &mut CallBook,
-) -> Result<(), OmError> {
-    run_with(program, stats, book, &crate::pipeline::OmOptions::default())
-}
-
-/// [`run`] with explicit ablation options.
-///
-/// # Errors
-///
-/// Propagates snapshot (layout) failures.
 pub fn run_with(
     program: &mut SymProgram,
     stats: &mut OmStats,
@@ -62,92 +54,192 @@ pub fn run_with(
     program.preserve_gat = true;
     let snap = Snapshot::capture_with(program, options.sort_commons)?;
     let preempt: HashSet<&str> = options.preemptible.iter().map(String::as_str).collect();
+    let fault = options.fault.as_ref();
     let m = crate::obs::PassMeter::begin("calls", stats);
-    transform_calls(program, &snap, stats, book, &preempt);
+    let sites = frozen_call_sites(program, &snap);
+    let none = HashSet::new(); // OM-simple deletes no prologue
+    rewrite_calls(program, &snap, &sites, &none, Removal::Nullify, stats, book, &preempt, fault);
     m.end(stats);
     let m = crate::obs::PassMeter::begin("convert", stats);
-    transform_address_loads(program, &snap, stats, &preempt, options.fault.as_ref());
+    transform_address_loads(program, &snap, stats, &preempt, fault);
     m.end(stats);
     Ok(())
 }
 
-/// Rewrites call sites: JSR→BSR, prologue skipping, GP-reset nullification.
-pub fn transform_calls(
-    program: &mut SymProgram,
-    snap: &Snapshot,
-    stats: &mut OmStats,
-    book: &mut CallBook,
-    preempt: &HashSet<&str>,
-) {
-    let nmods = program.modules.len();
-    for mi in 0..nmods {
-        let nprocs = program.modules[mi].procs.len();
-        for pi in 0..nprocs {
-            let sites = call_sites(&program.modules[mi].procs[pi]);
-            let uses = use_index(&program.modules[mi].procs[pi]);
-            for site in sites {
-                let jsr_id = program.modules[mi].procs[pi].insts[site.at].id;
-                let key = (mi, pi, jsr_id);
+/// How [`rewrite_calls`] removes a dead GP reset or PV load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Removal {
+    /// OM-simple: a no-op in place, counted in `insts_nullified`.
+    Nullify,
+    /// OM-full: deleted, counted in `insts_deleted`.
+    Delete,
+}
 
-                if let Some((hi, lo)) = site.gp_reset {
-                    if same_gp_target(program, snap, mi, &site.kind, preempt) {
-                        let proc = &mut program.modules[mi].procs[pi];
-                        for id in [hi, lo] {
-                            let idx = proc.index_of(id);
-                            proc.insts[idx].inst = Inst::nop();
-                            proc.insts[idx].mark = SMark::None;
-                        }
-                        stats.insts_nullified += 2;
-                        book.entry(key).or_insert((false, true)).1 = false;
-                    }
-                }
+impl Removal {
+    fn count(self, stats: &mut OmStats, n: usize) {
+        match self {
+            Removal::Nullify => stats.insts_nullified += n,
+            Removal::Delete => stats.insts_deleted += n,
+        }
+    }
 
-                // JSR → BSR conversion (never for preemptible targets: the
-                // dynamic linker may bind the call elsewhere).
-                let CallKind::DirectJsr { load, target } = site.kind else { continue };
-                if preempt.contains(crate::analysis::ref_name(program, &target)) {
-                    continue;
+    fn apply(self, proc: &mut SymProc, doomed: &HashSet<InstId>) {
+        match self {
+            Removal::Nullify => {
+                for i in proc.insts.iter_mut().filter(|i| doomed.contains(&i.id)) {
+                    i.inst = Inst::nop();
+                    i.mark = SMark::None;
                 }
-                let Some((tm, tp)) = snap.proc_of(&target) else { continue };
-                let jsr_addr = snap.inst_addr(mi, program.modules[mi].procs[pi].sym, site.at);
-                let target_addr = snap.addr(&target);
-                if !bsr_reachable(jsr_addr, target_addr) {
-                    continue;
-                }
+            }
+            Removal::Delete => proc.delete(doomed),
+        }
+    }
+}
 
-                // Decide whether the BSR can skip the prologue and drop PV.
-                let mut addend = 0i64;
-                let mut kill_load = false;
-                let same_gp = snap.group(mi) == snap.group(tm);
-                if same_gp {
-                    let tproc = &program.modules[tm].procs[tp];
-                    if let Some((hi, lo)) = prologue_pair_at_entry(tproc) {
-                        let sole_use = uses
-                            .get(&load)
-                            .map(|u| u.len() == 1 && u[0].1 == UseKind::Jsr)
-                            .unwrap_or(false);
-                        if sole_use && !reads_pv_outside(tproc, &[hi, lo]) {
-                            addend = 8;
-                            kill_load = true;
-                        }
-                    }
-                }
+/// A call site with its caller's coordinates and its address under the
+/// round's snapshot, frozen before any rewrite shifts instruction indices.
+pub struct FrozenSite {
+    pub mi: usize,
+    pub pi: usize,
+    pub addr: u64,
+    pub jsr_id: InstId,
+    pub kind: CallKind,
+    pub gp_reset: Option<(InstId, InstId)>,
+}
 
-                let proc = &mut program.modules[mi].procs[pi];
-                proc.insts[site.at].inst = Inst::Br { op: BrOp::Bsr, ra: Reg::RA, disp: 0 };
-                proc.insts[site.at].mark = SMark::BrSym { target: target.clone(), addend };
-                stats.calls_jsr_to_bsr += 1;
-                if kill_load {
-                    let li = proc.index_of(load);
-                    proc.insts[li].inst = Inst::nop();
-                    proc.insts[li].mark = SMark::None;
-                    stats.insts_nullified += 1;
-                    stats.addr_loads_nullified += 1;
-                    book.entry(key).or_insert((true, false)).0 = false;
-                }
+/// Every call site of the program, grouped by procedure in program order.
+pub fn frozen_call_sites(program: &SymProgram, snap: &Snapshot) -> Vec<FrozenSite> {
+    let mut sites = Vec::new();
+    for (mi, m) in program.modules.iter().enumerate() {
+        for (pi, p) in m.procs.iter().enumerate() {
+            for s in call_sites(p) {
+                sites.push(FrozenSite {
+                    mi,
+                    pi,
+                    addr: snap.inst_addr(mi, p.sym, s.at),
+                    jsr_id: p.insts[s.at].id,
+                    kind: s.kind,
+                    gp_reset: s.gp_reset,
+                });
             }
         }
     }
+    sites
+}
+
+/// Rewrites call sites for both OM levels: JSR→BSR when the target is in
+/// reach, prologue skipping with PV-load removal, and GP-reset removal.
+/// `drop_prologue` holds the callees whose prologue OM-full has deleted
+/// (their callers need no PV at all); `removal` says how dead instructions
+/// go. Returns true if anything changed.
+///
+/// Each procedure's use index is built once and kept current (only a JSR's
+/// own rewrite changes a use; no removed instruction is a LITUSE consumer),
+/// and its removals are applied in one batch after its last site.
+#[allow(clippy::too_many_arguments)]
+pub fn rewrite_calls(
+    program: &mut SymProgram,
+    snap: &Snapshot,
+    sites: &[FrozenSite],
+    drop_prologue: &HashSet<GlobalRef>,
+    removal: Removal,
+    stats: &mut OmStats,
+    book: &mut CallBook,
+    preempt: &HashSet<&str>,
+    fault: Option<&FaultPlan>,
+) -> bool {
+    let mut changed = false;
+    let mut current: Option<(usize, usize)> = None;
+    let mut uses = HashMap::new();
+    let mut doomed: HashSet<InstId> = HashSet::new();
+    for s in sites {
+        if current != Some((s.mi, s.pi)) {
+            if let Some((mi, pi)) = current {
+                removal.apply(&mut program.modules[mi].procs[pi], &doomed);
+                doomed.clear();
+            }
+            current = Some((s.mi, s.pi));
+            uses = use_index(&program.modules[s.mi].procs[s.pi]);
+        }
+        let key = (s.mi, s.pi, s.jsr_id);
+
+        // GP-reset removal.
+        let same_gp = same_gp_target(program, snap, s.mi, &s.kind, preempt);
+        if let Some((hi, lo)) = s.gp_reset {
+            if same_gp {
+                doomed.extend([hi, lo]);
+                removal.count(stats, 2);
+                book.entry(key).or_insert((false, true)).1 = false;
+                changed = true;
+            }
+        }
+
+        // JSR → BSR conversion (never for preemptible targets: the dynamic
+        // linker may bind the call elsewhere).
+        let CallKind::DirectJsr { load, target } = &s.kind else { continue };
+        let Some((tm, tp)) = snap.proc_of(target) else { continue };
+        if preempt.contains(crate::analysis::ref_name(program, target)) {
+            continue;
+        }
+        if !bsr_reachable(s.addr, snap.addr(target)) {
+            continue;
+        }
+        let sole_use = uses
+            .get(load)
+            .map(|u| u.len() == 1 && u[0].1 == UseKind::Jsr)
+            .unwrap_or(false);
+
+        // Decide the entry point and whether PV dies.
+        let tproc = &program.modules[tm].procs[tp];
+        let (mut addend, kill_load) = if drop_prologue.contains(target) {
+            (0, sole_use)
+        } else if same_gp {
+            match prologue_pair_at_entry(tproc) {
+                Some((hi, lo)) if sole_use && !reads_pv_outside(tproc, &[hi, lo]) => (8, true),
+                _ => (0, false),
+            }
+        } else {
+            // Different GP group: the callee still derives its GP from PV,
+            // so the PV load must stay; BSR is still profitable.
+            (0, false)
+        };
+
+        // Fault point: a `BSR target+8` against a callee whose entry holds
+        // real code (no GPDISP pair left to skip) silently drops two
+        // instructions from the callee's execution.
+        if addend == 0
+            && prologue_pair_at_entry(tproc).is_none()
+            && armed(fault, FaultKind::BsrSkew)
+        {
+            addend = 8;
+        }
+        // Fault point: the PV load dies below, but the branch forgets the
+        // +8 prologue skip that compensates — the callee rebuilds GP from a
+        // stale PV.
+        if addend == 8 && kill_load && armed(fault, FaultKind::PvLoadDrop) {
+            addend = 0;
+        }
+
+        let p = &mut program.modules[s.mi].procs[s.pi];
+        let at = p.index_of(s.jsr_id);
+        p.insts[at].inst = Inst::Br { op: BrOp::Bsr, ra: Reg::RA, disp: 0 };
+        p.insts[at].mark = SMark::BrSym { target: target.clone(), addend };
+        if let Some(u) = uses.get_mut(load) {
+            u.retain(|&(k, kind)| (k, kind) != (at, UseKind::Jsr));
+        }
+        stats.calls_jsr_to_bsr += 1;
+        changed = true;
+        if kill_load {
+            doomed.insert(*load);
+            removal.count(stats, 1);
+            stats.addr_loads_nullified += 1;
+            book.entry(key).or_insert((true, false)).0 = false;
+        }
+    }
+    if let Some((mi, pi)) = current {
+        removal.apply(&mut program.modules[mi].procs[pi], &doomed);
+    }
+    changed
 }
 
 /// Converts or nullifies GAT address loads.
@@ -167,7 +259,7 @@ pub fn transform_address_loads(
             let loads = crate::analysis::literal_loads(&program.modules[mi].procs[pi]);
             // [`FaultKind::NullifyDelete`] removes an instruction mid-walk;
             // deferring the deletion keeps the collected indices valid.
-            let mut delete_after: Vec<crate::sym::InstId> = Vec::new();
+            let mut delete_after: Vec<InstId> = Vec::new();
             for k in loads {
                 let (load_id, target, addend, escaping, rd) = {
                     let i = &program.modules[mi].procs[pi].insts[k];
@@ -289,7 +381,7 @@ pub fn transform_address_loads(
                 }
             }
             if !delete_after.is_empty() {
-                let doomed: HashSet<crate::sym::InstId> = delete_after.into_iter().collect();
+                let doomed: HashSet<InstId> = delete_after.into_iter().collect();
                 program.modules[mi].procs[pi].delete(&doomed);
             }
         }

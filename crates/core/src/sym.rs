@@ -285,7 +285,7 @@ pub struct LocalSymModule {
 }
 
 /// Resolves a module-local symbol reference to a [`GlobalRef`].
-fn resolve_ref(
+pub(crate) fn resolve_ref(
     source: &Module,
     symtab: &SymbolTable,
     mi: usize,

@@ -1,6 +1,7 @@
 //! Tier-1 verifier sweep: every workload, both compile modes, all four OM
 //! levels must link with `OmOptions::verify` and report zero violations, and
-//! each must count the same pre-OM GAT as the standard link.
+//! each must count the same pre-OM GAT as the standard link. OM-simple must
+//! also delete and insert nothing.
 //! This is the whole-program analogue of the per-invariant unit tests in
 //! `om_core::verify` — it proves the invariants hold on real compiler
 //! output, not just hand-built modules.
@@ -48,6 +49,22 @@ fn verifier_passes_on_every_workload_mode_and_level() {
                     mode.name(),
                     level.name()
                 );
+                // OM-simple never moves code: it turns instructions into
+                // no-ops in place and inserts none.
+                if level == OmLevel::Simple {
+                    assert_eq!(
+                        out.stats.insts_deleted, 0,
+                        "{} [{}] OM-simple deleted instructions",
+                        s.name,
+                        mode.name()
+                    );
+                    assert_eq!(
+                        out.stats.unops_inserted, 0,
+                        "{} [{}] OM-simple inserted no-ops",
+                        s.name,
+                        mode.name()
+                    );
+                }
             }
         }
     }

@@ -4,12 +4,8 @@
 # (fig7, simsec) and the wall-clock/phase fields are wall-clock noise and
 # excluded.
 #
-# Usage: scripts/bench.sh [--update|--refresh]
+# Usage: scripts/bench.sh [--update]
 #   --update    rewrite BENCH_baseline.json from the current run
-#   --refresh   diff as usual, then (only if every deterministic figure row
-#               is byte-identical) copy the fresh run over the baseline so
-#               its timing-only fields (fig7, simsec, wall/phase seconds)
-#               track the current machine and engine
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -88,10 +84,3 @@ if ! filter "$baseline" | diff -u - "$out"; then
     exit 1
 fi
 echo "OK: figure rows match $baseline"
-
-if [ "${1:-}" = "--refresh" ]; then
-    # The deterministic rows are byte-identical, so overwriting the baseline
-    # only updates its timing fields.
-    cp "$json" "$baseline"
-    echo "refreshed timing fields in $baseline"
-fi

@@ -52,7 +52,7 @@ cargo run --release -p om-obs --bin omtrace -- check "$tracedir/trace.json" \
     --require-counter link.gat_slots --require-counter snapshot.captures
 
 echo "== figure drift =="
-scripts/bench.sh --refresh
+scripts/bench.sh
 
 echo "== CI-fleet smoke (bounded relink storm + socket round trip) =="
 # ~100 measured relinks: enforces the 80% per-module hit-rate floor and
