@@ -5,12 +5,16 @@
 //! ```text
 //! reproduce [fig3] [fig4] [fig5] [fig6] [fig7] [gat] [pgo] [fleet] [passes]
 //!           [scale] [all] [--quick] [--bench NAME]... [--jobs N] [--json PATH]
+//! reproduce check BASELINE CURRENT
 //! ```
 //!
 //! Benchmarks are built and measured on a worker pool (`--jobs`, default =
 //! available parallelism); results are rendered in spec order, so stdout is
 //! byte-identical at any width. `--json` additionally writes machine-
 //! readable per-figure rows plus harness wall-clock and per-phase timings.
+//!
+//! `check` holds a `--json` run to a baseline under the rule table
+//! [`om_bench::json::KINDS`] and exits 1 listing every failure.
 
 use om_bench::figures::{self, phase, Prepared, Selection};
 use om_bench::fleet::{self, FleetConfig};
@@ -26,14 +30,40 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: reproduce [fig3|fig4|fig5|fig6|fig7|gat|pgo|fleet|passes|scale|all] [--quick] \
-         [--bench NAME]... [--jobs N] [--json PATH]"
+         [--bench NAME]... [--jobs N] [--json PATH]\n       reproduce check BASELINE CURRENT"
     );
     std::process::exit(2);
+}
+
+/// `reproduce check BASELINE CURRENT`.
+fn check(args: &[String]) -> ! {
+    let [baseline, current] = args else {
+        usage("check needs a BASELINE and a CURRENT path");
+    };
+    let read = |path: &String| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("FAIL: cannot read {path}: {e}");
+            std::process::exit(1);
+        })
+    };
+    let fails = json::check(&read(baseline), &read(current));
+    if fails.is_empty() {
+        println!("OK: {current} matches {baseline}");
+        std::process::exit(0);
+    }
+    for f in &fails {
+        eprintln!("FAIL: {f}");
+    }
+    eprintln!("{} check failure(s): {current} against {baseline}", fails.len());
+    std::process::exit(1);
 }
 
 fn main() {
     let t_start = Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().is_some_and(|a| a == "check") {
+        check(&args[1..]);
+    }
     let mut which: Vec<&str> = Vec::new();
     let mut quick = false;
     let mut filter: Vec<String> = Vec::new();

@@ -614,7 +614,7 @@ pub struct BenchRows {
     /// The scale figure's wall-clock row (report-only, like fig7).
     pub scaletime: Option<crate::scale::ScaleTimeRow>,
     /// Simulator seconds this benchmark spent across all its runs
-    /// (report-only; excluded from baseline diffs like fig7).
+    /// (report-only, like fig7).
     pub sim_seconds: f64,
 }
 

@@ -1,14 +1,169 @@
 //! Machine-readable output for `reproduce --json PATH` (hand-rolled; the
-//! registry is offline, so no serde).
+//! registry is offline, so no serde), and the gate that holds a run to the
+//! committed baseline (`reproduce check BASELINE CURRENT`).
 //!
-//! The layout is deliberately line-oriented: every figure row is one line
-//! containing `"fig"` and `"bench"` keys, so `scripts/bench.sh` can diff
-//! runs with `grep`/`diff` alone. Timings (`fig7` rows, `wall_seconds`,
-//! `phase_seconds`) are wall-clock and therefore excluded from such diffs;
-//! every other row is bit-deterministic.
+//! Every figure row is one JSON object on its own line, carrying a `"fig"`
+//! key (its kind) and a `"bench"` key. [`KINDS`] is the one table of rules
+//! per kind and [`check`] enforces it. Timings (`fig7`, `simsec`, `fleet`
+//! and `scaletime` rows, `wall_seconds`, `phase_seconds`) are wall-clock
+//! and never compared; every other row is bit-deterministic.
 
 use crate::figures::BenchRows;
+use om_obs::json::{parse, JsonValue};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+
+/// The gate's rules for one row kind (the row's `"fig"` value).
+pub struct Kind {
+    pub fig: &'static str,
+    /// Rows must match the baseline's field for field. Report-only kinds
+    /// carry wall-clock measurements and are never compared.
+    pub gated: bool,
+    /// Fields every row of the kind must carry.
+    pub required: &'static [&'static str],
+    /// Fields every row of the kind must carry with exactly this value,
+    /// spelled as compact JSON text.
+    pub fixed: &'static [(&'static str, &'static str)],
+}
+
+/// Every row kind a full `reproduce --json` run emits, in emission order.
+pub const KINDS: [Kind; 12] = [
+    Kind { fig: "fig3", gated: true, required: &[], fixed: &[] },
+    Kind { fig: "fig4", gated: true, required: &[], fixed: &[] },
+    Kind { fig: "fig5", gated: true, required: &[], fixed: &[] },
+    Kind { fig: "fig6", gated: true, required: &[], fixed: &[] },
+    Kind { fig: "fig7", gated: false, required: &[], fixed: &[] },
+    Kind { fig: "gat", gated: true, required: &[], fixed: &[] },
+    Kind { fig: "pgo", gated: true, required: &["pgo_cycles_each"], fixed: &[] },
+    // Per-pass deltas must reconcile with the pipeline's `OmStats`.
+    Kind { fig: "passes", gated: true, required: &[], fixed: &[("reconciled", "true")] },
+    // Every cached relink must serve the one-shot pipeline's exact image.
+    Kind { fig: "fleet", gated: false, required: &[], fixed: &[("byte_identical", "true")] },
+    // The harness panics rather than record a point that fails an oracle;
+    // the recorded markers are re-checked so a harness regression cannot
+    // slip an unverified point into the baseline.
+    Kind {
+        fig: "scale",
+        gated: true,
+        required: &[],
+        fixed: &[
+            ("verified_variants", "8"),
+            ("sampled_exact", "true"),
+            ("shared_identical", "true"),
+            ("edit_module_misses", "1"),
+        ],
+    },
+    Kind { fig: "scaletime", gated: false, required: &[], fixed: &[] },
+    Kind { fig: "simsec", gated: false, required: &["engine"], fixed: &[] },
+];
+
+/// A gated row: its `(fig, bench)` key and its fields.
+type GatedRow<'a> = ((&'a str, &'a str), &'a BTreeMap<String, JsonValue>);
+
+/// Checks a `reproduce --json` run (`current`) against `baseline` under
+/// [`KINDS`] and returns every failure, each naming its kind, benchmark and
+/// field; an empty list means the run passes. In both files every kind must
+/// have a row, no unknown kind or repeated `(fig, bench)` may appear, and
+/// every row must carry its kind's required fields and fixed values. The
+/// gated rows must then come in the same `(fig, bench)` sequence with the
+/// same fields and values; numbers compare as their source literal, so
+/// exactly. Field order within a row is not compared.
+pub fn check(baseline: &str, current: &str) -> Vec<String> {
+    let (base, cur) = match (parse(baseline), parse(current)) {
+        (Ok(b), Ok(c)) => (b, c),
+        (b, c) => {
+            let b = b.err().map(|e| format!("baseline: {e}"));
+            let c = c.err().map(|e| format!("current: {e}"));
+            return b.into_iter().chain(c).collect();
+        }
+    };
+    let mut fails = Vec::new();
+    let base = gated_rows("baseline", &base, &mut fails);
+    let cur = gated_rows("current", &cur, &mut fails);
+
+    let base_by_key: BTreeMap<_, _> = base.iter().copied().collect();
+    let cur_by_key: BTreeMap<_, _> = cur.iter().copied().collect();
+    for (&(fig, bench), b) in &base_by_key {
+        let Some(c) = cur_by_key.get(&(fig, bench)) else {
+            fails.push(format!("{fig} {bench}: gated row missing from current"));
+            continue;
+        };
+        for (field, bv) in b.iter() {
+            match c.get(field) {
+                None => fails.push(format!("{fig} {bench}: `{field}` dropped (baseline {bv})")),
+                Some(cv) if cv != bv => fails.push(format!(
+                    "{fig} {bench}: `{field}` drifted: baseline {bv}, current {cv}"
+                )),
+                Some(_) => {}
+            }
+        }
+        for (field, cv) in c.iter().filter(|(field, _)| !b.contains_key(*field)) {
+            fails.push(format!("{fig} {bench}: `{field}` added (current {cv})"));
+        }
+    }
+    for &(fig, bench) in cur_by_key.keys().filter(|k| !base_by_key.contains_key(*k)) {
+        fails.push(format!("{fig} {bench}: gated row not in baseline"));
+    }
+    // The rows both files share must also come in the same order.
+    let b_order = base.iter().map(|r| r.0).filter(|k| cur_by_key.contains_key(k));
+    let c_order = cur.iter().map(|r| r.0).filter(|k| base_by_key.contains_key(k));
+    if let Some((b, c)) = b_order.zip(c_order).find(|(b, c)| b != c) {
+        fails.push(format!(
+            "{} {}: gated rows out of order: baseline has it where current has {} {}",
+            b.0, b.1, c.0, c.1
+        ));
+    }
+    fails
+}
+
+/// Holds every row of one parsed file to its kind's rules, pushing a
+/// failure for each violation, and returns the gated rows in file order.
+fn gated_rows<'a>(file: &str, doc: &'a JsonValue, fails: &mut Vec<String>) -> Vec<GatedRow<'a>> {
+    let Some(rows) = doc.get("rows").and_then(JsonValue::as_arr) else {
+        fails.push(format!("{file}: no `rows` array"));
+        return Vec::new();
+    };
+    let mut seen = [0usize; KINDS.len()];
+    let mut keys = BTreeSet::new();
+    let mut gated = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        let str_field = |k| row.get(k).and_then(JsonValue::as_str);
+        let (JsonValue::Obj(fields), Some(fig), Some(bench)) =
+            (row, str_field("fig"), str_field("bench"))
+        else {
+            fails.push(format!("{file}: row {i} lacks a string `fig` or `bench`"));
+            continue;
+        };
+        let at = format!("{file} {fig} {bench}");
+        let Some(k) = KINDS.iter().position(|k| k.fig == fig) else {
+            fails.push(format!("{at}: unknown row kind `{fig}`"));
+            continue;
+        };
+        if !keys.insert((fig, bench)) {
+            fails.push(format!("{at}: repeated row"));
+        }
+        seen[k] += 1;
+        for field in KINDS[k].required.iter().filter(|f| !fields.contains_key(**f)) {
+            fails.push(format!("{at}: missing required field `{field}`"));
+        }
+        for &(field, want) in KINDS[k].fixed {
+            match fields.get(field) {
+                Some(v) if v.to_string() == want => {}
+                Some(v) => fails.push(format!("{at}: `{field}` is {v}, must be {want}")),
+                None => fails.push(format!("{at}: missing `{field}` (must be {want})")),
+            }
+        }
+        if KINDS[k].gated {
+            gated.push(((fig, bench), fields));
+        }
+    }
+    for (kind, n) in KINDS.iter().zip(seen) {
+        if n == 0 {
+            fails.push(format!("{file} {}: no rows of this kind", kind.fig));
+        }
+    }
+    gated
+}
 
 fn f(v: f64) -> String {
     // Shortest representation that round-trips; always valid JSON for the
@@ -136,7 +291,7 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
     }
     if let Some(x) = r.passes {
         sep(out);
-        // Deterministic (no wall time): diffed against the baseline like
+        // Deterministic (no wall time): gated against the baseline like
         // fig3–fig5. Only nonzero deltas are emitted, so the key set itself
         // is part of the gated content.
         let mut fields = vec![("full_rounds".to_string(), x.full_rounds.to_string())];
@@ -153,8 +308,8 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
     }
     if let Some(x) = r.fleet {
         sep(out);
-        // Latency and throughput are wall-clock; bench.sh excludes the
-        // whole fleet row from baseline diffs (like fig7 and simsec).
+        // Latency and throughput are wall-clock, so the whole fleet row is
+        // report-only in `KINDS` (like fig7 and simsec).
         push_row(
             out,
             "fleet",
@@ -178,8 +333,8 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
     if let Some(x) = r.scale {
         sep(out);
         // Deterministic scale-point fields: GAT geometry, checksums,
-        // scenario-pack outcomes, cache-invalidation counts. Drift-gated
-        // against the baseline like fig3–fig5.
+        // scenario-pack outcomes, cache-invalidation counts. Gated against
+        // the baseline like fig3–fig5.
         push_row(
             out,
             "scale",
@@ -212,8 +367,8 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
     }
     if let Some(x) = r.scaletime {
         sep(out);
-        // Wall-clock scaling curve (fig7 extended): report-only, excluded
-        // from baseline diffs like fig7, simsec, and fleet.
+        // Wall-clock scaling curve (fig7 extended): report-only, like
+        // fig7, simsec, and fleet.
         push_row(
             out,
             "scaletime",
@@ -228,7 +383,7 @@ fn rows_for(out: &mut String, r: &BenchRows) -> usize {
     }
     if r.sim_seconds > 0.0 {
         sep(out);
-        // Wall-clock, like fig7: report-only, excluded from baseline diffs.
+        // Wall-clock, like fig7: report-only.
         push_row(
             out,
             "simsec",

@@ -35,6 +35,7 @@ use om_core::{
     Profile,
 };
 use om_objfile::{Archive, Module, RelocKind, SecId};
+use om_obs::json::quote;
 use om_obs::JsonValue;
 use om_sim::{run_covered_fast, run_fast, run_profiled_fast, Divergence, RunResult};
 use std::collections::HashSet;
@@ -659,27 +660,8 @@ pub fn scorecard(rows: Vec<MutantRecord>) -> Scorecard {
     Scorecard { mutants: rows.len(), killed, escaped: rows.len() - killed, classes, rows }
 }
 
-fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders the scorecard as line-oriented JSON (same idiom as
-/// [`crate::json`]: one object per line, grep/diff-able, no serde).
+/// [`crate::json`]: one object per line, no serde).
 pub fn render_json(card: &Scorecard) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -693,7 +675,7 @@ pub fn render_json(card: &Scorecard) -> String {
         let _ = writeln!(
             out,
             "    {{\"kind\":\"class\",\"class\":{},\"total\":{},\"verify\":{},\"checksum\":{},\"interp\":{},\"escaped\":{}}}{sep}",
-            jstr(&c.class), c.total, c.verify, c.checksum, c.interp, c.escaped
+            quote(&c.class), c.total, c.verify, c.checksum, c.interp, c.escaped
         );
     }
     out.push_str("  ],\n  \"rows\": [\n");
@@ -702,7 +684,7 @@ pub fn render_json(card: &Scorecard) -> String {
         let _ = writeln!(
             out,
             "    {{\"kind\":\"mutant\",\"class\":{},\"seed\":{},\"site\":{},\"verify\":{},\"checksum\":{},\"interp\":{},\"detail\":{}}}{sep}",
-            jstr(r.class), r.seed, r.site, r.verify, r.checksum, r.interp, jstr(&r.detail)
+            quote(r.class), r.seed, r.site, r.verify, r.checksum, r.interp, quote(&r.detail)
         );
     }
     out.push_str("  ]\n}\n");

@@ -10,7 +10,7 @@
 //! against the full run, so sampling is a sound oracle at sizes where full
 //! timing runs are impractical.
 //!
-//! The measured fields split into two row kinds so `scripts/bench.sh` can
+//! The measured fields split into two row kinds so `reproduce check` can
 //! gate one and not the other:
 //!
 //! * [`ScaleRow`] (`"fig":"scale"`) — bit-deterministic: GAT geometry,

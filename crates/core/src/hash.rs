@@ -205,7 +205,6 @@ pub fn options_fingerprint(level: OmLevel, options: &OmOptions) -> ContentHash {
             put_str(&mut h, &p.to_json());
         }
     }
-    h.update(&options.pgo_hot_min.to_le_bytes());
     match &options.fault {
         None => h.update(&[0]),
         Some(f) => {

@@ -10,10 +10,9 @@
 //!   input order, and entirely-cold modules are left untouched.
 //! * **Hot-only backward-branch-target alignment** — the paper aligns every
 //!   backward-branch target; its own `ear` ablation showed that can hurt.
-//!   Here only targets whose profiled execution count reaches
-//!   [`crate::pipeline::OmOptions::pgo_hot_min`] earn alignment UNOPs; cold
-//!   targets (loop heads that never ran hot) cost nothing on the fall-through
-//!   path.
+//!   Here only targets the profile saw execute at least once earn alignment
+//!   UNOPs; cold targets (loop heads that never ran) cost nothing on the
+//!   fall-through path.
 //!
 //! Profile↔program matching is by linked-image symbol name (exported
 //! procedures by plain name, locals qualified `"name.module"`, exactly as
@@ -85,7 +84,7 @@ pub fn run_with(
                 Some(pp) if pp.back_targets.len() == n_targets => pp
                     .back_targets
                     .iter()
-                    .map(|&c| c >= options.pgo_hot_min)
+                    .map(|&c| c >= 1)
                     .collect(),
                 // Unknown procedure or a target-count mismatch: the paper's
                 // blind alignment is the safe default.

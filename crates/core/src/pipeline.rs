@@ -88,10 +88,6 @@ pub struct OmOptions {
     /// [`crate::pgo`] reorders procedures by call frequency and aligns only
     /// hot backward-branch targets (replacing the blind alignment pass).
     pub profile: Option<crate::profile::Profile>,
-    /// Minimum profiled execution count for a backward-branch target to be
-    /// considered hot (and earn alignment UNOPs) under profile-guided
-    /// layout. The default, 1, skips only never-executed targets.
-    pub pgo_hot_min: u64,
     /// Deliberate miscompilation for mutation testing ([`crate::fault`],
     /// the `omkill` harness). `None` — the only value real links ever use —
     /// costs a single branch per fault point.
@@ -107,7 +103,6 @@ impl Default for OmOptions {
             preemptible: Vec::new(),
             verify: false,
             profile: None,
-            pgo_hot_min: 1,
             fault: None,
         }
     }

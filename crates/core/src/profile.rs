@@ -22,6 +22,7 @@
 //! no serde). Serialization is deterministic: procedures sort by name, edges
 //! by (caller, callee).
 
+use om_obs::json::quote;
 use om_obs::JsonValue;
 use std::fmt;
 
@@ -103,7 +104,7 @@ impl Profile {
             let counts: Vec<String> = p.back_targets.iter().map(u64::to_string).collect();
             out.push_str(&format!(
                 "    {{\"name\":{},\"calls\":{},\"insts\":{},\"back_targets\":[{}]}}{}\n",
-                escape(&p.name),
+                quote(&p.name),
                 p.calls,
                 p.insts,
                 counts.join(","),
@@ -115,8 +116,8 @@ impl Profile {
         for (i, e) in self.edges.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"caller\":{},\"callee\":{},\"count\":{}}}{}\n",
-                escape(&e.caller),
-                escape(&e.callee),
+                quote(&e.caller),
+                quote(&e.callee),
                 e.count,
                 if i + 1 < self.edges.len() { "," } else { "" }
             ));
@@ -192,25 +193,6 @@ fn req_arr<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], Profile
     req(obj, key)?
         .as_arr()
         .ok_or_else(|| ProfileError(format!("{key}: expected an array")))
-}
-
-/// JSON string escaping for names (control characters, quote, backslash).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -1,13 +1,17 @@
-//! A minimal JSON reader and the chrome-trace structural validator.
+//! A minimal JSON reader, the one JSON string writer, and the chrome-trace
+//! structural validator.
 //!
 //! The workspace is fully offline (no serde); this is its one small, strict
 //! JSON parser. The `omtrace check` CI step and the trace tests use it to
 //! prove an emitted `--trace-json` file is well-formed and that its spans
-//! nest properly; execution profiles and the `omkill` baseline are read
-//! with it too. It parses the full JSON grammar except `\uXXXX` surrogate
-//! pairs (accepted, decoded as the raw code unit when lone).
+//! nest properly; execution profiles, the `omkill` baseline and the
+//! `reproduce check` figure gate are read with it too. It parses the full
+//! JSON grammar except `\uXXXX` surrogate pairs (accepted, decoded as the
+//! raw code unit when lone), and rejects duplicate object keys. Every JSON
+//! writer in the workspace spells its strings with [`quote`].
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,7 +69,57 @@ impl JsonValue {
     }
 }
 
-/// Parses one JSON document (rejecting trailing garbage).
+/// Compact JSON text: no whitespace, object keys in sorted order, numbers as
+/// their source literal.
+impl fmt::Display for JsonValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            JsonValue::Null => f.write_str("null"),
+            JsonValue::Bool(b) => write!(f, "{b}"),
+            JsonValue::Num(n) => f.write_str(n),
+            JsonValue::Str(s) => f.write_str(&quote(s)),
+            JsonValue::Arr(v) => {
+                f.write_str("[")?;
+                for (i, x) in v.iter().enumerate() {
+                    write!(f, "{}{x}", if i > 0 { "," } else { "" })?;
+                }
+                f.write_str("]")
+            }
+            JsonValue::Obj(m) => {
+                f.write_str("{")?;
+                for (i, (k, x)) in m.iter().enumerate() {
+                    write!(f, "{}{}:{x}", if i > 0 { "," } else { "" }, quote(k))?;
+                }
+                f.write_str("}")
+            }
+        }
+    }
+}
+
+/// `s` as a JSON string literal, quotes included: `"` and `\` are
+/// backslash-escaped, `\n`/`\t`/`\r` take their short forms, and every
+/// other control character becomes `\u00XX`. Everything else, multi-byte
+/// UTF-8 included, passes through unchanged.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// Parses one JSON document (rejecting trailing garbage and duplicate
+/// object keys).
 ///
 /// # Errors
 ///
@@ -111,9 +165,13 @@ fn value(b: &[u8], at: &mut usize) -> Result<JsonValue, String> {
             }
             loop {
                 skip_ws(b, at);
+                let key_at = *at;
                 let k = string(b, at)?;
                 expect(b, at, b':')?;
                 let v = value(b, at)?;
+                if m.contains_key(&k) {
+                    return Err(format!("duplicate key `{k}` at byte {key_at}"));
+                }
                 m.insert(k, v);
                 skip_ws(b, at);
                 match b.get(*at) {
@@ -383,6 +441,29 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\"}", "tru", "1 2", "\"\\x\"", "{\"a\":1,}"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn rejects_duplicate_keys_with_their_position() {
+        let err = parse(r#"{"a":1,"b":2,"a":3}"#).unwrap_err();
+        assert_eq!(err, "duplicate key `a` at byte 13");
+        let err = parse(r#"[{"x":{"k":1,"k":1}}]"#).unwrap_err();
+        assert!(err.contains("duplicate key `k`"), "{err}");
+        // Equal keys in different objects are fine.
+        assert!(parse(r#"[{"a":1},{"a":1}]"#).is_ok());
+    }
+
+    #[test]
+    fn quote_and_display_round_trip() {
+        assert_eq!(quote("plain.name"), r#""plain.name""#);
+        assert_eq!(quote("q\"b\\n\nt\tr\r\u{1}é"), r#""q\"b\\n\nt\tr\r\u0001é""#);
+        for s in ["", "we\"ird\\name\n.mod", "\u{1f}\u{7f}ü"] {
+            assert_eq!(parse(&quote(s)).unwrap(), JsonValue::Str(s.into()), "{s:?}");
+        }
+        let text = r#"{"b":[1.0,-2e3,null],"a":{"s":"x\ty","t":true}}"#;
+        let shown = parse(text).unwrap().to_string();
+        assert_eq!(shown, r#"{"a":{"s":"x\ty","t":true},"b":[1.0,-2e3,null]}"#);
+        assert_eq!(parse(&shown).unwrap(), parse(text).unwrap());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   identical for identical inputs (instructions deleted, blocks decoded,
 //!   cache misses under coalescing), never wall time. Their JSON export
 //!   ([`Sink::counters_json`]) is byte-identical at any thread width once
-//!   per-thread sinks are merged, which is what lets `scripts/bench.sh`
+//!   per-thread sinks are merged, which is what lets `reproduce check`
 //!   gate per-pass counters like any other figure row.
 //! * **Timers** ([`timer_ns`]) — named nanosecond totals for regions too
 //!   hot or too fragmented to span individually (the simulator's decode vs

@@ -1,86 +1,34 @@
 #!/bin/sh
-# Reproduces the paper's figures in --quick mode and diffs the deterministic
-# rows against the committed baseline (BENCH_baseline.json). Timing rows
-# (fig7, simsec) and the wall-clock/phase fields are wall-clock noise and
-# excluded.
+# Reproduces the paper's figures in --quick mode and holds the run to the
+# committed baseline (BENCH_baseline.json) with `reproduce check`: every row
+# kind present, every required field and fixed value on every row, and the
+# deterministic rows identical. The rules live in one table,
+# om_bench::json::KINDS; wall-clock rows and fields are never compared.
 #
 # Usage: scripts/bench.sh [--update]
-#   --update    rewrite BENCH_baseline.json from the current run
+#   --update    rewrite BENCH_baseline.json from the current run, once the
+#               run passes the table's checks against itself
 set -eu
 
 cd "$(dirname "$0")/.."
 baseline=BENCH_baseline.json
-out=$(mktemp)
 json=$(mktemp)
-trap 'rm -f "$out" "$json"' EXIT
+trap 'rm -f "$json"' EXIT
 
-cargo run --release -p om-bench --bin reproduce -- all --quick --json "$json"
+reproduce() {
+    cargo run --release -q -p om-bench --bin reproduce -- "$@"
+}
+
+reproduce all --quick --json "$json"
 
 if [ "${1:-}" = "--update" ]; then
+    reproduce check "$json" "$json"
     cp "$json" "$baseline"
     echo "updated $baseline"
     exit 0
 fi
 
-# Deterministic rows only: every figure row carries a "bench" key; fig7 rows
-# are build-time measurements, simsec rows are simulator wall time, fleet
-# rows carry request latency/throughput, and scaletime rows are the
-# wall-clock half of the scaling curve. The trailing array comma depends on
-# which row happens to be last, so it is stripped before diffing.
-filter() {
-    grep '"bench"' "$1" | grep -v '"fig":"fig7"' | grep -v '"fig":"simsec"' \
-        | grep -v '"fig":"fleet"' | grep -v '"fig":"scaletime"' | sed 's/,$//'
-}
-
-# Coverage: every variant the harness is supposed to measure must actually
-# appear in the run — a silently skipped figure would otherwise shrink the
-# diff instead of failing it.
-for fig in fig3 fig4 fig5 fig6 gat pgo fleet simsec passes scale scaletime; do
-    if ! grep -q "\"fig\":\"$fig\"" "$json"; then
-        echo "FAIL: run produced no $fig rows" >&2
-        exit 1
-    fi
-done
-if ! grep '"fig":"pgo"' "$json" | grep -q '"pgo_cycles_each"'; then
-    echo "FAIL: pgo rows are missing cycle fields" >&2
-    exit 1
-fi
-if ! grep '"fig":"simsec"' "$json" | grep -q '"engine"'; then
-    echo "FAIL: simsec rows are missing the engine field" >&2
-    exit 1
-fi
-if ! grep '"fig":"fleet"' "$json" | grep -q '"byte_identical":true'; then
-    echo "FAIL: fleet rows missing or not byte-identical" >&2
-    exit 1
-fi
-if grep '"fig":"passes"' "$json" | grep -q '"reconciled":false'; then
-    echo "FAIL: a passes row failed to reconcile with OmStats" >&2
-    exit 1
-fi
-if grep '"fig":"fleet"' "$json" | grep -q '"byte_identical":false'; then
-    echo "FAIL: a fleet relink served a non-identical image" >&2
-    exit 1
-fi
-# Scale rows are oracle-gated in the harness itself (it panics rather than
-# record an unverified point); re-check the recorded markers anyway so a
-# harness regression cannot slip an ungated row into the baseline.
-if ! grep '"fig":"scale"' "$json" | grep -q '"verified_variants":8'; then
-    echo "FAIL: a scale row did not verify all 8 (mode x level) variants" >&2
-    exit 1
-fi
-if grep '"fig":"scale"' "$json" | grep -Eq '"sampled_exact":false|"shared_identical":false'; then
-    echo "FAIL: a scale row recorded a failed sampled/shared oracle" >&2
-    exit 1
-fi
-if grep '"fig":"scale"' "$json" | grep -v '"edit_module_misses":1' | grep -q .; then
-    echo "FAIL: a scale edit invalidated more than one module translation" >&2
-    exit 1
-fi
-
-filter "$json" >"$out"
-if ! filter "$baseline" | diff -u - "$out"; then
-    echo "FAIL: figure rows drifted from $baseline" >&2
+if ! reproduce check "$baseline" "$json"; then
     echo "(run scripts/bench.sh --update if the change is intended)" >&2
     exit 1
 fi
-echo "OK: figure rows match $baseline"
