@@ -1,5 +1,5 @@
-//! Register define/use sets, used by the compile-time scheduler, OM's
-//! transformations, and the rescheduler to reason about dependences.
+//! Register define/use sets, used by the list scheduler ([`crate::sched`])
+//! and OM's transformations to reason about dependences.
 //!
 //! Sets are 32-bit masks over register numbers, kept separately for the
 //! integer and floating-point files. `r31`/`f31` never appear in any set
@@ -111,7 +111,8 @@ impl Effects {
 
     /// True if `self` must stay ordered after `earlier` (RAW, WAR, WAW on a
     /// register file, any memory conflict, or either being a control
-    /// transfer). This is the dependence test both schedulers use.
+    /// transfer). This is the dependence test [`crate::sched::schedule`]
+    /// builds its graph from.
     pub fn depends_on(&self, earlier: &Effects) -> bool {
         if self.control || earlier.control {
             return true;

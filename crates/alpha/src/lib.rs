@@ -3,9 +3,10 @@
 //!
 //! This crate is the bottom of the stack: a format-level instruction model
 //! ([`Inst`]), binary [`encode()`](encode())/[`decode()`](decode()), a disassembler, register
-//! define/use summaries ([`Effects`]) for dependence testing, and 21064-class
-//! latency/dual-issue tables used by both the compile-time scheduler and the
-//! `om-sim` timing model.
+//! define/use summaries ([`Effects`]) for dependence testing, 21064-class
+//! latency/dual-issue tables ([`timing`]) shared with the `om-sim` timing
+//! model, and the one list scheduler ([`sched`]) that both compile-time
+//! scheduling and OM's rescheduling run.
 //!
 //! # Example
 //!
@@ -25,6 +26,7 @@ pub mod effects;
 pub mod encode;
 pub mod inst;
 pub mod reg;
+pub mod sched;
 pub mod timing;
 
 pub use decode::{decode, decode_all, DecodeError};

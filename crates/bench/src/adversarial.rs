@@ -64,7 +64,7 @@ fn seed_module(name: &str) -> Module {
     m.text = vec![0; 16];
     m.data = vec![0; 16];
     m.symbols.push(Symbol::proc("__start", 0, 16, 0));
-    m.symbols.push(Symbol::data(&format!("{name}_g"), SecId::Data, 0, 8));
+    m.symbols.push(Symbol::data(format!("{name}_g"), SecId::Data, 0, 8));
     m.lita.push(LitaEntry { sym: SymId(1), addend: 0 });
     m.relocs.push(Reloc::text(0, RelocKind::Literal { lita: 0 }));
     m
@@ -75,7 +75,7 @@ fn seed_module(name: &str) -> Module {
 fn data_module(name: &str) -> Module {
     let mut m = Module::new(name);
     m.data = vec![0; 16];
-    m.symbols.push(Symbol::data(&format!("{name}_g"), SecId::Data, 0, 8));
+    m.symbols.push(Symbol::data(format!("{name}_g"), SecId::Data, 0, 8));
     m
 }
 

@@ -114,7 +114,7 @@ struct ProcInfo {
 /// Generates the program for `seed`.
 pub fn generate(seed: u64, cfg: &FuzzConfig) -> FuzzProgram {
     // Salted so fuzz streams are distinct from the workload generator's.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xF0_22_5A17);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF022_5A17);
     let n_modules = rng.gen_range(1..cfg.max_modules + 1);
     let mut roster: Vec<ProcInfo> = Vec::new();
     let mut modules = Vec::new();
@@ -533,7 +533,7 @@ pub fn check(prog: &FuzzProgram) -> Outcome {
         })();
         if let Err(e) = compiled {
             mismatches.push(Mismatch {
-                variant: format!("{}", mode.name()),
+                variant: mode.name().to_string(),
                 detail: format!("compile error: {e}"),
             });
             continue;
@@ -679,7 +679,7 @@ pub fn shrink_with(
                         .filter(|(mj, _)| *mj != mi)
                         .flat_map(|(_, m)| &m.procs)
                         .flat_map(|pr| &pr.stmts)
-                        .any(|s| s.calls.iter().any(|c| *c == p.name))
+                        .any(|s| s.calls.contains(&p.name))
                 });
                 if externally_called {
                     continue;

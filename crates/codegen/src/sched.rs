@@ -7,107 +7,48 @@
 //! prologue ("unfortunately, compile-time scheduling often moved them"), and
 //! what OM-full undoes by restoring the pair to its logical place.
 //!
-//! The scheduler never reorders across a dependence ([`Effects::depends_on`]:
-//! register hazards, memory conflicts, control), so scheduled code is
-//! behaviorally identical — property-tested at the pipeline level.
+//! The scheduler itself is [`om_alpha::sched`], the same one OM's final
+//! rescheduling runs. It never reorders across a dependence
+//! ([`om_alpha::Effects::depends_on`]: register hazards, memory conflicts,
+//! control), so scheduled code is behaviorally identical — property-tested
+//! at the pipeline level.
 
-use crate::code::{CBlock, CFunc, CInst};
-use om_alpha::timing::{can_dual_issue, latency};
-use om_alpha::Effects;
+use crate::code::CFunc;
+use om_alpha::sched::schedule;
 
-/// Schedules every block of `f` in place.
+/// List-schedules every block of `f` in place.
 pub fn schedule_func(f: &mut CFunc) {
     for b in &mut f.blocks {
-        schedule_block(b);
+        schedule(&mut b.insts, |i| &i.inst);
     }
-}
-
-/// List-schedules one block.
-pub fn schedule_block(b: &mut CBlock) {
-    let n = b.insts.len();
-    if n < 2 {
-        return;
-    }
-    let effects: Vec<Effects> = b.insts.iter().map(|i| Effects::of(&i.inst)).collect();
-
-    // Dependence edges: succs[i] lists j > i that must follow i.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut npreds: Vec<usize> = vec![0; n];
-    for j in 0..n {
-        for i in 0..j {
-            if effects[j].depends_on(&effects[i]) {
-                succs[i].push(j);
-                npreds[j] += 1;
-            }
-        }
-    }
-
-    // Critical-path priority and fan-out.
-    let mut prio: Vec<u32> = vec![0; n];
-    for i in (0..n).rev() {
-        let tail = succs[i].iter().map(|&j| prio[j]).max().unwrap_or(0);
-        prio[i] = latency(&b.insts[i].inst) + tail;
-    }
-    let fanout: Vec<usize> = succs.iter().map(Vec::len).collect();
-
-    // Greedy pick: highest critical path, then fan-out, then source order;
-    // prefer an instruction that dual-issues with the previous pick on ties.
-    let mut ready: Vec<usize> = (0..n).filter(|&i| npreds[i] == 0).collect();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut remaining_preds = npreds;
-    while let Some(&first) = ready.first() {
-        let mut best = first;
-        for &c in &ready {
-            let key = |i: usize| {
-                let pairs = order
-                    .last()
-                    .map(|&p| can_dual_issue(&b.insts[p].inst, &b.insts[i].inst))
-                    .unwrap_or(false);
-                (prio[i], fanout[i], pairs as u32, std::cmp::Reverse(i))
-            };
-            if key(c) > key(best) {
-                best = c;
-            }
-        }
-        ready.retain(|&i| i != best);
-        order.push(best);
-        for &j in &succs[best] {
-            remaining_preds[j] -= 1;
-            if remaining_preds[j] == 0 {
-                ready.push(j);
-            }
-        }
-    }
-
-    debug_assert_eq!(order.len(), n);
-    let old = std::mem::take(&mut b.insts);
-    let mut slots: Vec<Option<CInst>> = old.into_iter().map(Some).collect();
-    b.insts = order
-        .into_iter()
-        .map(|i| slots[i].take().expect("instruction scheduled twice"))
-        .collect();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::code::{CodeBuffer, Mark};
+    use crate::code::{CBlock, CodeBuffer, Mark};
     use om_alpha::{Inst, Reg};
     use om_objfile::Visibility;
+
+    /// Schedules the function `c` holds and returns its first block.
+    fn scheduled(c: CodeBuffer) -> CBlock {
+        let mut f = c.finish("t".into(), Visibility::Exported);
+        schedule_func(&mut f);
+        f.blocks.into_iter().next().unwrap()
+    }
 
     fn block_of(insts: Vec<(Inst, Mark)>) -> CBlock {
         let mut c = CodeBuffer::new();
         for (i, m) in insts {
             c.push(i, m);
         }
-        let f = c.finish("t".into(), Visibility::Exported);
-        f.blocks.into_iter().next().unwrap()
+        scheduled(c)
     }
 
     #[test]
     fn dependences_are_preserved() {
         // load r1 ; add r2 = r1 + r1 — the add may never precede the load.
-        let mut b = block_of(vec![
+        let b = block_of(vec![
             (Inst::ldq(Reg::new(1), 0, Reg::GP), Mark::None),
             (
                 Inst::Opr {
@@ -119,28 +60,25 @@ mod tests {
                 Mark::None,
             ),
         ]);
-        schedule_block(&mut b);
         assert!(matches!(b.insts[0].inst, Inst::Mem { .. }));
     }
 
     #[test]
     fn independent_long_latency_work_hoists() {
         // mov ; load — the load (latency 3) should be scheduled first.
-        let mut b = block_of(vec![
+        let b = block_of(vec![
             (Inst::mov(Reg::new(3), Reg::new(4)), Mark::None),
             (Inst::ldq(Reg::new(1), 0, Reg::GP), Mark::None),
         ]);
-        schedule_block(&mut b);
         assert!(matches!(b.insts[0].inst, Inst::Mem { op, .. } if op.is_load()));
     }
 
     #[test]
     fn stores_keep_their_order() {
-        let mut b = block_of(vec![
+        let b = block_of(vec![
             (Inst::stq(Reg::new(1), 0, Reg::SP), Mark::None),
             (Inst::stq(Reg::new(2), 8, Reg::SP), Mark::None),
         ]);
-        schedule_block(&mut b);
         match (&b.insts[0].inst, &b.insts[1].inst) {
             (Inst::Mem { disp: 0, .. }, Inst::Mem { disp: 8, .. }) => {}
             other => panic!("stores reordered: {other:?}"),
@@ -162,9 +100,7 @@ mod tests {
         c.inst(Inst::lda(Reg::SP, -32, Reg::SP));
         c.inst(Inst::stq(Reg::RA, 16, Reg::SP));
         c.inst(Inst::stq(Reg::new(9), 24, Reg::SP));
-        let f = c.finish("t".into(), Visibility::Exported);
-        let mut b = f.blocks.into_iter().next().unwrap();
-        schedule_block(&mut b);
+        let b = scheduled(c);
         // The sp-adjust has fan-out 2 (both stores) vs the ldah's 1, at equal
         // critical path length, so it is picked first.
         assert!(
@@ -180,8 +116,7 @@ mod tests {
 
     #[test]
     fn single_instruction_blocks_untouched() {
-        let mut b = block_of(vec![(Inst::ret(), Mark::None)]);
-        schedule_block(&mut b);
+        let b = block_of(vec![(Inst::ret(), Mark::None)]);
         assert_eq!(b.insts.len(), 1);
     }
 }

@@ -260,7 +260,6 @@ pub fn optimize_and_link_keyed(
         .get_or_try(key, || {
             run_pipeline(objects, libs, level, options, Some(caches)).map(|(out, _)| out)
         })
-        .map(|(out, hit)| (out, hit))
 }
 
 fn run_pipeline(

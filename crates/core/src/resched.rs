@@ -11,10 +11,10 @@
 
 use crate::fault::{FaultKind, FaultPlan};
 use crate::stats::OmStats;
-use crate::sym::{InstId, SInst, SMark, SymProc, SymProgram};
-use om_alpha::timing::{can_dual_issue, latency};
+use crate::sym::{InstId, SAnchor, SInst, SMark, SymProc, SymProgram};
+use om_alpha::sched::schedule;
 use om_alpha::{Effects, Inst};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Reschedules every procedure and aligns backward-branch targets.
 pub fn run(program: &mut SymProgram, stats: &mut OmStats) {
@@ -32,12 +32,15 @@ pub fn run_with(
 ) {
     for m in &mut program.modules {
         for p in &mut m.procs {
-            schedule_proc(&mut p.insts);
+            let is_target = branch_target_mask(&p.insts);
+            schedule_blocks(&mut p.insts, &is_target);
             // Fault point: procedures with an adjacent truly-dependent pair
             // are the candidate sites for a dependence-violating swap.
-            if let Some(k) = dependent_adjacent_pair(&p.insts) {
-                if crate::fault::armed(fault, FaultKind::SchedSwap) {
-                    p.insts.swap(k, k + 1);
+            if fault.is_some() {
+                if let Some(k) = dependent_adjacent_pair(&p.insts, &is_target) {
+                    if crate::fault::armed(fault, FaultKind::SchedSwap) {
+                        p.insts.swap(k, k + 1);
+                    }
                 }
             }
         }
@@ -49,153 +52,77 @@ pub fn run_with(
 
 /// First position `k` where instruction `k+1` truly depends on `k` (reads
 /// an integer register `k` writes), neither is a control transfer, and
-/// `k+1` is not a branch target — the site the [`FaultKind::SchedSwap`]
+/// neither is a branch target — the site the [`FaultKind::SchedSwap`]
 /// mutation inverts.
-fn dependent_adjacent_pair(insts: &[SInst]) -> Option<usize> {
-    let targets: HashSet<InstId> = insts
-        .iter()
-        .filter_map(|i| match i.mark {
-            SMark::BrLocal { target } => Some(target),
-            _ => None,
-        })
-        .collect();
-    insts.windows(2).position(|w| {
+fn dependent_adjacent_pair(insts: &[SInst], is_target: &[bool]) -> Option<usize> {
+    insts.windows(2).enumerate().position(|(k, w)| {
         let (a, b) = (Effects::of(&w[0].inst), Effects::of(&w[1].inst));
         !a.control
             && !b.control
             && a.int_defs & b.int_uses != 0
-            && !targets.contains(&w[1].id)
-            && !targets.contains(&w[0].id)
+            && !is_target[k]
+            && !is_target[k + 1]
     })
 }
 
-/// Splits `insts` into basic blocks and list-schedules each block.
-pub fn schedule_proc(insts: &mut Vec<SInst>) {
-    // Block leaders: position 0, branch targets, and instructions after a
-    // control transfer.
-    let mut leaders: HashSet<usize> = HashSet::new();
-    leaders.insert(0);
-    let pos_of: HashMap<InstId, usize> =
-        insts.iter().enumerate().map(|(k, i)| (i.id, k)).collect();
+/// Marks the positions of `insts` that some local branch targets.
+/// Scheduling pins targets at their block heads, so the mask stays valid
+/// for the scheduled order.
+fn branch_target_mask(insts: &[SInst]) -> Vec<bool> {
+    let span = insts.iter().map(|i| i.id as usize + 1).max().unwrap_or(0);
+    let mut pos_of = vec![usize::MAX; span];
     for (k, i) in insts.iter().enumerate() {
-        if i.inst.is_control() {
-            leaders.insert(k + 1);
-        }
+        pos_of[i.id as usize] = k;
+    }
+    let mut is_target = vec![false; insts.len()];
+    for i in insts {
         if let SMark::BrLocal { target } = i.mark {
-            leaders.insert(pos_of[&target]);
+            is_target[pos_of[target as usize]] = true;
         }
     }
-    let mut starts: Vec<usize> = leaders.into_iter().filter(|&k| k < insts.len()).collect();
-    starts.sort_unstable();
+    is_target
+}
 
+/// Splits `insts` into basic blocks and list-schedules each block in place.
+pub fn schedule_proc(insts: &mut [SInst]) {
+    let is_target = branch_target_mask(insts);
+    schedule_blocks(insts, &is_target);
+}
+
+/// [`schedule_proc`] over a precomputed [`branch_target_mask`].
+fn schedule_blocks(insts: &mut [SInst], is_target: &[bool]) {
     // The entry GPDISP pair is pinned: OM-full restored it to the procedure
     // entry precisely so call sites can skip it (BSR to entry+8), and some
     // already do — rescheduling must not sink it again.
-    let pinned = match (insts.first(), insts.get(1)) {
-        (Some(first), Some(second)) => match first.mark {
-            crate::sym::SMark::GpdispHi { lo, anchor: crate::sym::SAnchor::Entry }
-                if second.id == lo =>
-            {
-                2
-            }
+    let pinned = match insts {
+        [first, second, ..] => match first.mark {
+            SMark::GpdispHi { lo, anchor: SAnchor::Entry } if second.id == lo => 2,
             _ => 0,
         },
         _ => 0,
     };
 
-    // Branch-target instructions must stay at their block heads: a branch
-    // jumps to a specific instruction id, and anything the scheduler hoisted
-    // above it would be skipped on the branch path.
-    let targets: HashSet<InstId> = insts
-        .iter()
-        .filter_map(|i| match i.mark {
-            SMark::BrLocal { target } => Some(target),
-            _ => None,
-        })
-        .collect();
-
-    let mut out: Vec<SInst> = insts[..pinned.min(insts.len())].to_vec();
-    for (bi, &s) in starts.iter().enumerate() {
-        let e = starts.get(bi + 1).copied().unwrap_or(insts.len());
-        if e <= pinned {
-            continue;
+    // Block leaders: position 0, branch targets, and instructions after a
+    // control transfer.
+    let n = insts.len();
+    let mut s = 0;
+    while s < n {
+        let mut e = s + 1;
+        while e < n && !insts[e - 1].inst.is_control() && !is_target[e] {
+            e += 1;
         }
-        let mut s = s.max(pinned);
-        // Pin the leader while it is a branch target.
-        while s < e && targets.contains(&insts[s].id) {
-            out.push(insts[s].clone());
-            s += 1;
+        // Branch-target instructions must stay at their block heads: a
+        // branch jumps to a specific instruction id, and anything the
+        // scheduler hoisted above it would be skipped on the branch path.
+        let mut head = s.max(pinned);
+        while head < e && is_target[head] {
+            head += 1;
         }
-        let mut block: Vec<SInst> = insts[s..e].to_vec();
-        schedule_block(&mut block);
-        out.extend(block);
-    }
-    *insts = out;
-}
-
-/// Latency-driven list scheduling of one block (same policy as the
-/// compile-time scheduler, but over post-OM code).
-fn schedule_block(block: &mut Vec<SInst>) {
-    let n = block.len();
-    if n < 2 {
-        return;
-    }
-    let effects: Vec<Effects> = block.iter().map(|i| Effects::of(&i.inst)).collect();
-
-    // Extra ordering constraints beyond register/memory dependences: a
-    // GPDISP pair must keep its internal order (already enforced by the GP
-    // register dependence) and LITUSE consumers follow their load (enforced
-    // by the load's destination register). So plain Effects suffice.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut npreds: Vec<usize> = vec![0; n];
-    for j in 0..n {
-        for i in 0..j {
-            if effects[j].depends_on(&effects[i]) {
-                succs[i].push(j);
-                npreds[j] += 1;
-            }
+        if head < e {
+            schedule(&mut insts[head..e], |i| &i.inst);
         }
+        s = e;
     }
-    let mut prio: Vec<u32> = vec![0; n];
-    for i in (0..n).rev() {
-        let tail = succs[i].iter().map(|&j| prio[j]).max().unwrap_or(0);
-        prio[i] = latency(&block[i].inst) + tail;
-    }
-    let fanout: Vec<usize> = succs.iter().map(Vec::len).collect();
-
-    let mut ready: Vec<usize> = (0..n).filter(|&i| npreds[i] == 0).collect();
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut remaining = npreds;
-    while let Some(&first) = ready.first() {
-        let mut best = first;
-        for &c in &ready {
-            let key = |i: usize| {
-                let pairs = order
-                    .last()
-                    .map(|&p| can_dual_issue(&block[p].inst, &block[i].inst))
-                    .unwrap_or(false);
-                (prio[i], fanout[i], pairs as u32, std::cmp::Reverse(i))
-            };
-            if key(c) > key(best) {
-                best = c;
-            }
-        }
-        ready.retain(|&i| i != best);
-        order.push(best);
-        for &j in &succs[best] {
-            remaining[j] -= 1;
-            if remaining[j] == 0 {
-                ready.push(j);
-            }
-        }
-    }
-
-    let old = std::mem::take(block);
-    let mut slots: Vec<Option<SInst>> = old.into_iter().map(Some).collect();
-    *block = order
-        .into_iter()
-        .map(|i| slots[i].take().expect("scheduled twice"))
-        .collect();
 }
 
 /// The distinct backward-branch targets of `p` (target position ≤ branch

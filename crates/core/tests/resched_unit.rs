@@ -4,7 +4,7 @@
 use om_alpha::{Inst, Reg};
 use om_codegen::{compile_source, crt0, CompileOpts};
 use om_core::resched::schedule_proc;
-use om_core::sym::{translate, SMark};
+use om_core::sym::{translate, SAnchor, SInst, SMark};
 use om_linker::{build_symbol_table, select_modules};
 use std::collections::HashSet;
 
@@ -100,6 +100,35 @@ fn branch_targets_keep_their_position_at_block_heads() {
             prev.id
         );
     }
+}
+
+#[test]
+fn entry_gpdisp_pair_stays_pinned_at_the_entry() {
+    // The frame setup has more dependents than the GP pair, so an unpinned
+    // block schedules the sp-adjust first (as the compile-time scheduler
+    // does); with the pair anchored at the entry it must stay at 0-1.
+    let block = |hi_mark: SMark| -> Vec<SInst> {
+        [
+            (Inst::ldah(Reg::GP, 0, Reg::PV), hi_mark),
+            (Inst::lda(Reg::GP, 0, Reg::GP), SMark::GpdispLo { hi: 0 }),
+            (Inst::lda(Reg::SP, -32, Reg::SP), SMark::None),
+            (Inst::stq(Reg::RA, 16, Reg::SP), SMark::None),
+            (Inst::stq(Reg::new(9), 24, Reg::SP), SMark::None),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(k, (inst, mark))| SInst { id: k as u32, inst, mark })
+        .collect()
+    };
+
+    let mut pinned = block(SMark::GpdispHi { lo: 1, anchor: SAnchor::Entry });
+    schedule_proc(&mut pinned);
+    let ids: Vec<u32> = pinned.iter().map(|i| i.id).collect();
+    assert_eq!(ids[..2], [0, 1], "entry GPDISP pair must stay at positions 0-1: {ids:?}");
+
+    let mut free = block(SMark::GpdispHi { lo: 1, anchor: SAnchor::AfterCall(7) });
+    schedule_proc(&mut free);
+    assert_eq!(free[0].id, 2, "an unanchored pair is free to sink below the frame setup");
 }
 
 #[test]

@@ -222,19 +222,39 @@ fn lit(b: &[u8], at: &mut usize, word: &str) -> Result<(), String> {
     }
 }
 
+/// Parses an RFC 8259 number: `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
 fn number(b: &[u8], at: &mut usize) -> Result<JsonValue, String> {
     let start = *at;
-    if b.get(*at) == Some(&b'-') {
-        *at += 1;
+    let eat = |at: &mut usize, set: &[u8]| {
+        let hit = b.get(*at).is_some_and(|c| set.contains(c));
+        *at += hit as usize;
+        hit
+    };
+    let digits = |at: &mut usize| {
+        let from = *at;
+        while eat(at, b"0123456789") {}
+        *at - from
+    };
+    eat(at, b"-");
+    let int = *at;
+    let mut ok = match digits(at) {
+        0 => false,
+        1 => true,
+        _ => b[int] != b'0',
+    };
+    if eat(at, b".") {
+        ok &= digits(at) > 0;
     }
-    while *at < b.len() && matches!(b[*at], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *at += 1;
+    if eat(at, b"eE") {
+        eat(at, b"+-");
+        ok &= digits(at) > 0;
     }
-    let s = std::str::from_utf8(&b[start..*at]).map_err(|_| "non-utf8 number")?;
-    match s.parse::<f64>() {
-        Ok(_) => Ok(JsonValue::Num(s.to_string())),
-        Err(_) => Err(format!("bad number `{s}` at byte {start}")),
+    if !ok {
+        return Err(format!("bad number at byte {start}"));
     }
+    // The grammar admits only ASCII, so the slice is valid UTF-8.
+    let s = std::str::from_utf8(&b[start..*at]).map_err(|e| e.to_string())?;
+    Ok(JsonValue::Num(s.to_string()))
 }
 
 fn string(b: &[u8], at: &mut usize) -> Result<String, String> {
@@ -279,7 +299,7 @@ fn string(b: &[u8], at: &mut usize) -> Result<String, String> {
                 // Multi-byte UTF-8 passes through unchanged.
                 let len = match c {
                     0x00..=0x1f => return Err(format!("raw control byte at {at}")),
-                    0x00..=0x7f => 1,
+                    0x20..=0x7f => 1,
                     0xc0..=0xdf => 2,
                     0xe0..=0xef => 3,
                     _ => 4,
@@ -440,6 +460,49 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "{\"a\"}", "tru", "1 2", "\"\\x\"", "{\"a\":1,}"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn rejects_a_leading_plus() {
+        assert!(parse("+1").is_err());
+    }
+
+    #[test]
+    fn rejects_a_missing_integer_part() {
+        assert!(parse(".5").is_err());
+    }
+
+    #[test]
+    fn rejects_a_leading_zero() {
+        assert!(parse("01").is_err());
+    }
+
+    #[test]
+    fn rejects_an_empty_fraction() {
+        assert!(parse("1.").is_err());
+    }
+
+    #[test]
+    fn rejects_an_empty_exponent() {
+        assert!(parse("1e").is_err());
+    }
+
+    #[test]
+    fn rejects_a_doubled_sign() {
+        assert!(parse("--1").is_err());
+    }
+
+    #[test]
+    fn rejects_a_bare_minus() {
+        assert!(parse("-").is_err());
+    }
+
+    #[test]
+    fn accepts_every_rfc_8259_number_form() {
+        for (text, v) in [("0", 0.0), ("-0", -0.0), ("-0.5e+3", -500.0), ("12E-2", 0.12)] {
+            assert_eq!(parse(text).unwrap(), JsonValue::Num(text.into()), "{text}");
+            assert_eq!(parse(text).unwrap().as_f64(), Some(v), "{text}");
         }
     }
 

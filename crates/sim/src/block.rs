@@ -295,7 +295,7 @@ impl BlockCache {
             let is_load = matches!(inst, Inst::Mem { op, .. }
                 if op.is_load() && !matches!(op, MemOp::Lda | MemOp::Ldah));
             let pair_static = match uops.last() {
-                Some(prev) => (upc - 4) % 8 == 0 && can_dual_issue(&prev.inst, &inst),
+                Some(prev) => (upc - 4).is_multiple_of(8) && can_dual_issue(&prev.inst, &inst),
                 None => false,
             };
             let line_first =
